@@ -7,6 +7,9 @@ are made monotone (face weight never exceeds coface weight) by an explicit
 max-propagation pass, since a filtration requires it and the raw weights do
 not satisfy it: on simulated torus datasets half or more of the raw triangle
 weights lie below the largest weight of their edges.
+
+Facets are resolved once, by the closure check of :class:`WeightedComplex`,
+into the flat table that every later stage reads.
 """
 
 from __future__ import annotations
@@ -80,10 +83,18 @@ class WeightedComplex:
     construction requirement (raw alternating-diffusion weights may violate
     it); :func:`enforce_monotone` restores it and :func:`filtration_order`
     demands it.
+
+    Construction also stores read-only arrays, one row per simplex:
+    ``vertices`` (N x 3 ids padded with -1), ``dims`` (N) and ``facets``
+    (N x 3 facet positions, slot j dropping vertex j as in
+    :meth:`Simplex.facets`, -1 in unused slots).
     """
 
     simplexes: tuple[Simplex, ...]
     weights: np.ndarray
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    dims: np.ndarray = field(init=False, repr=False, compare=False)
+    facets: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -99,12 +110,21 @@ class WeightedComplex:
         index = {s.vertices: i for i, s in enumerate(simplexes)}
         if len(index) != len(simplexes):
             raise ValueError("duplicate simplexes")
-        for s in simplexes:
-            for f in s.facets():
-                if f.vertices not in index:
-                    raise ValueError(f"complex not closed: {s.vertices} lacks face {f.vertices}")
-            if s.dimension == 0 and weights[index[s.vertices]] != 0.0:
-                raise ValueError(f"vertex {s.vertices} must have weight 0")
+        vertices = np.full((len(simplexes), 3), -1, dtype=np.intp)
+        facets = vertices.copy()
+        for i, v in enumerate(index):
+            vertices[i, : len(v)] = v
+            if len(v) == 1 and weights[i] != 0.0:
+                raise ValueError(f"vertex {v} must have weight 0")
+            for j in range(len(v) if len(v) > 1 else 0):
+                face = v[:j] + v[j + 1 :]
+                if face not in index:
+                    raise ValueError(f"complex not closed: {v} lacks face {face}")
+                facets[i, j] = index[face]
+        dims = (vertices >= 0).sum(axis=1) - 1
+        for name, arr in (("vertices", vertices), ("dims", dims), ("facets", facets)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "simplexes", simplexes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_index", index)
@@ -124,14 +144,15 @@ class WeightedComplex:
         return float(self.weights.max())
 
     def count(self, dimension: int) -> int:
-        return sum(1 for s in self.simplexes if s.dimension == dimension)
+        return int((self.dims == dimension).sum())
 
     def is_monotone(self) -> bool:
-        return all(
-            self.weight_of(f.vertices) <= self.weights[i]
-            for i, s in enumerate(self.simplexes)
-            for f in s.facets()
-        )
+        return bool((_facet_max(self, self.weights) <= self.weights).all())
+
+
+def _facet_max(cx: WeightedComplex, weights: np.ndarray) -> np.ndarray:
+    """Per simplex, the largest of ``weights`` over its facets (-inf for none)."""
+    return np.where(cx.facets >= 0, weights[cx.facets], -np.inf).max(axis=1)
 
 
 def complete_skeleton(n_vertices: int) -> list[Simplex]:
@@ -266,12 +287,17 @@ def assign_weights(
     skeleton = list(skeleton)
     weights = raw_weights(skeleton, operators, workers=workers)
     if normalize:
-        positive_dim = np.array([s.dimension > 0 for s in skeleton])
-        med = float(np.median(weights[positive_dim]))
-        if med <= 0.0:
-            raise ValueError("median weight is not positive; cannot normalize")
-        weights = weights / med
+        weights = _median_normalized(skeleton, weights)
     return enforce_monotone(WeightedComplex(tuple(skeleton), weights))
+
+
+def _median_normalized(skeleton: Sequence[Simplex], weights: np.ndarray) -> np.ndarray:
+    """``weights`` divided by their median over the positive-dimension simplexes."""
+    positive_dim = np.array([s.dimension > 0 for s in skeleton])
+    med = float(np.median(weights[positive_dim]))
+    if med <= 0.0:
+        raise ValueError("median weight is not positive; cannot normalize")
+    return weights / med
 
 
 def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:
@@ -281,12 +307,9 @@ def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:
     the function twice gives the same result as applying it once.
     """
     weights = np.array(cx.weights, copy=True)
-    order = sorted(range(len(cx.simplexes)), key=lambda i: cx.simplexes[i].dimension)
-    for i in order:
-        for f in cx.simplexes[i].facets():
-            w = weights[cx.position(f.vertices)]
-            if w > weights[i]:
-                weights[i] = w
+    for dim in (1, 2):
+        rows = cx.dims == dim
+        weights[rows] = np.maximum(weights[rows], _facet_max(cx, weights)[rows])
     return WeightedComplex(cx.simplexes, weights)
 
 
@@ -298,10 +321,8 @@ def filtration_order(cx: WeightedComplex) -> list[int]:
     """
     if not cx.is_monotone():
         raise ValueError("complex weights are not monotone; run enforce_monotone first")
-    return sorted(
-        range(len(cx.simplexes)),
-        key=lambda i: (cx.weights[i], cx.simplexes[i].dimension, cx.simplexes[i].vertices),
-    )
+    v = cx.vertices
+    return np.lexsort((v[:, 2], v[:, 1], v[:, 0], cx.dims, cx.weights)).tolist()
 
 
 def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:

@@ -37,7 +37,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class AffinityMatrix:
     """Symmetric Gaussian affinity matrix with unit diagonal.
 
-    ``epsilon`` records the kernel scale that produced the entries.
+    Entries lie in [0, 1]; exact zeros from far outliers are harmless, as the
+    unit diagonal keeps row sums >= 1.  ``epsilon`` is the kernel scale.
     """
 
     entries: np.ndarray
@@ -51,10 +52,10 @@ class AffinityMatrix:
             raise ValueError("affinity matrix must be exactly symmetric")
         if not np.array_equal(np.diag(w), np.ones(w.shape[0])):
             raise ValueError("affinity diagonal must be all ones")
-        if not ((w > 0.0) & (w <= 1.0)).all():
+        if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError(
-                "affinity entries must lie in (0, 1]; an entry underflowed to 0 "
-                "or exceeded 1 (epsilon too small or negative squared distance)"
+                "affinity entries must lie in [0, 1]; an entry exceeded 1 or is "
+                "not finite (negative squared distance or non-finite input)"
             )
         object.__setattr__(self, "entries", w)
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -130,7 +131,11 @@ def diffusion_operator(w: AffinityMatrix) -> DiffusionOperator:
     result is row-stochastic and similar to a symmetric matrix via
     ``Q~^(1/2) K Q~^(-1/2)``.
     """
-    mat = w.entries
+    return _two_step(w.entries)[0]
+
+
+def _two_step(mat: np.ndarray) -> tuple[DiffusionOperator, np.ndarray, np.ndarray]:
+    """``K``, ``W~`` and the row sums ``q~`` of :func:`diffusion_operator`."""
     q = mat.sum(axis=1)
     if (q <= 0.0).any():
         raise ValueError("affinity matrix has a nonpositive row sum")
@@ -138,9 +143,8 @@ def diffusion_operator(w: AffinityMatrix) -> DiffusionOperator:
     q_tilde = w_tilde.sum(axis=1)
     if (q_tilde <= 0.0).any():
         raise ValueError("density-normalized matrix has a nonpositive row sum")
-    k = w_tilde / q_tilde[:, np.newaxis]
     # float row sums land within ~1e-15 of 1; the type re-checks the 1e-12 bound
-    return DiffusionOperator(k)
+    return DiffusionOperator(w_tilde / q_tilde[:, np.newaxis]), w_tilde, q_tilde
 
 
 def sample_diffusion_operator(

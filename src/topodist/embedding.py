@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from topodist.diffusion import affinity, median_scale
+from topodist.diffusion import _two_step, affinity, median_scale
 from topodist.wasserstein import DatasetDistanceMatrix
 
 __all__ = [
@@ -89,13 +89,7 @@ def diffusion_maps(
         raise ValueError(f"embedding dimension must satisfy 1 <= d < {n}, got {d}")
 
     eps = median_scale(distances.entries, epsilon_factor)
-    w = affinity(distances.entries, eps).entries
-    q = w.sum(axis=1)
-    w_tilde = w / np.outer(q, q)
-    q_tilde = w_tilde.sum(axis=1)
-    k = w_tilde / q_tilde[:, np.newaxis]
-    if np.abs(k.sum(axis=1) - 1.0).max() > 1e-12:
-        raise ValueError("internal kernel failed row normalization")
+    _, w_tilde, q_tilde = _two_step(affinity(distances.entries, eps).entries)
 
     inv_sqrt = 1.0 / np.sqrt(q_tilde)
     conjugate = w_tilde * np.outer(inv_sqrt, inv_sqrt)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from topodist.complexes import WeightedComplex, filtration_order
 
 __all__ = [
@@ -115,16 +117,12 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
     order = [int(i) for i in order]
     if sorted(order) != list(range(len(cx.simplexes))):
         raise ValueError("order must be a permutation of all simplex ids")
-    position = {cx.simplexes[sid].vertices: pos for pos, sid in enumerate(order)}
-    columns = []
-    for sid in order:
-        facets = cx.simplexes[sid].facets()
-        try:
-            col = sorted(position[f.vertices] for f in facets)
-        except KeyError as exc:
-            raise ValueError(f"face {exc.args[0]} missing from the order") from exc
-        columns.append(tuple(col))
-    return BoundaryMatrix(tuple(columns), tuple(order))
+    position = np.argsort(order)
+    facets = cx.facets[order]
+    # unused slots stay -1 and so sort to the front of each row
+    rows = np.sort(np.where(facets >= 0, position[facets], -1), axis=1).tolist()
+    columns = tuple(tuple(row[row.count(-1) :]) for row in rows)
+    return BoundaryMatrix(columns, tuple(order))
 
 
 def reduce_matrix(m: BoundaryMatrix) -> Reduction:
@@ -176,22 +174,18 @@ def extract_diagram(
     if essential_policy not in ("infinite", "cap"):
         raise ValueError(f"unknown essential policy {essential_policy!r}")
 
-    out = []
-    for birth_id, death_id in reduction.pairs:
-        if cx.simplexes[birth_id].dimension != degree:
-            continue
-        birth = float(cx.weights[birth_id])
-        death = float(cx.weights[death_id])
-        if birth == death:
-            continue
-        out.append(PersistencePair(degree, birth, death, birth_id, death_id))
-    cap = cx.max_weight
-    for sid in reduction.essential:
-        if cx.simplexes[sid].dimension != degree:
-            continue
-        birth = float(cx.weights[sid])
-        death = math.inf if essential_policy == "infinite" else cap
-        out.append(PersistencePair(degree, birth, death, sid, None))
+    weights = cx.weights.tolist()
+    out = [
+        PersistencePair(degree, weights[b], weights[d], b, d)
+        for b, d in reduction.pairs
+        if cx.dims[b] == degree and weights[b] != weights[d]
+    ]
+    death = math.inf if essential_policy == "infinite" else cx.max_weight
+    out += [
+        PersistencePair(degree, weights[s], death, s, None)
+        for s in reduction.essential
+        if cx.dims[s] == degree
+    ]
     return PersistenceDiagram(degree, tuple(out))
 
 

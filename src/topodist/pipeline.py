@@ -23,6 +23,7 @@ import numpy as np
 from topodist.complexes import (
     Simplex,
     WeightedComplex,
+    _median_normalized,
     assign_weights,
     complete_skeleton,
     enforce_monotone,
@@ -218,11 +219,7 @@ def cross_correlation_complex(
             total = edge_rho(a, b) ** 2 + edge_rho(b, c) ** 2 + edge_rho(a, c) ** 2
             weights[i] = 1.0 / np.sqrt(total)
     if normalize:
-        positive_dim = np.array([s.dimension > 0 for s in skeleton])
-        med = float(np.median(weights[positive_dim]))
-        if med <= 0.0:
-            raise ValueError("median weight is not positive; cannot normalize")
-        weights = weights / med
+        weights = _median_normalized(skeleton, weights)
     return enforce_monotone(WeightedComplex(tuple(skeleton), weights))
 
 
@@ -329,11 +326,10 @@ def graph_spectral_distances(
             cx = build_weighted_complex(
                 dataset, dataclasses.replace(config, skeleton="complete")
             )
+            edges = cx.dims == 1
+            a, b = cx.vertices[edges, 0], cx.vertices[edges, 1]
             w = np.zeros((n, n))
-            for s in cx.simplexes:
-                if s.dimension == 1:
-                    a, b = s.vertices
-                    w[a, b] = w[b, a] = cx.weight_of(s.vertices)
+            w[a, b] = w[b, a] = cx.weights[edges]
             spectra.append(np.sort(np.linalg.eigvalsh(w)))
         except ValueError as exc:
             raise PipelineError(f"dataset {label!r}, stage spectrum: {exc}") from exc

@@ -1,7 +1,10 @@
 """Tests for skeleton builders, weight assignment, and filtration ordering."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
 from topodist.complexes import (
@@ -17,6 +20,7 @@ from topodist.complexes import (
 )
 from topodist.dataset import TorusSpec, generate_torus_dataset
 from topodist.diffusion import DiffusionOperator, sample_diffusion_operator
+from topodist.homology import boundary_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +332,67 @@ def test_complex_csv_rejects_garbage(tmp_path):
     p.write_text("dim,v0,v1,v2,weight\n1,0,1,9,0.5\n")
     with pytest.raises(ValueError, match="extra vertices"):
         read_complex_csv(p)
+
+
+# ---------------------------------------------------------------------------
+# facet table against per-simplex Simplex.facets() references
+
+
+TIES = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+@st.composite
+def closed_complexes(draw) -> WeightedComplex:
+    """Closed 2-complex on sparse vertex ids, shuffled, with tie-rich weights."""
+    ids = sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=7)))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    spanned = [
+        t for t in itertools.combinations(ids, 3)
+        if all(e in edges for e in itertools.combinations(t, 2))
+    ]
+    triangles = draw(st.lists(st.sampled_from(spanned), unique=True)) if spanned else []
+    simplexes = draw(st.permutations(
+        [Simplex((v,)) for v in ids] + [Simplex(e) for e in edges]
+        + [Simplex(t) for t in triangles]
+    ))
+    weights = [0.0 if s.dimension == 0 else draw(st.sampled_from(TIES)) for s in simplexes]
+    return WeightedComplex(tuple(simplexes), np.array(weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_complexes())
+def test_facet_table_matches_simplex_facets(cx):
+    for i, s in enumerate(cx.simplexes):
+        k = len(s.vertices)
+        assert cx.vertices[i].tolist() == list(s.vertices) + [-1] * (3 - k)
+        assert cx.dims[i] == s.dimension
+        expected = [cx.position(f.vertices) for f in s.facets()]
+        assert cx.facets[i].tolist() == expected + [-1] * (3 - len(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_complexes())
+def test_enforce_monotone_matches_oracle_on_random_complexes(cx):
+    np.testing.assert_array_equal(enforce_monotone(cx).weights, enforce_oracle(cx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_complexes())
+def test_filtration_order_matches_sorted_key(cx):
+    cx = enforce_monotone(cx)
+    key = lambda i: (cx.weights[i], cx.simplexes[i].dimension, cx.simplexes[i].vertices)
+    assert filtration_order(cx) == sorted(range(cx.n_simplexes), key=key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_complexes())
+def test_boundary_columns_match_simplex_facets(cx):
+    cx = enforce_monotone(cx)
+    order = filtration_order(cx)
+    position = {cx.simplexes[sid].vertices: pos for pos, sid in enumerate(order)}
+    expected = tuple(
+        tuple(sorted(position[f.vertices] for f in cx.simplexes[sid].facets()))
+        for sid in order
+    )
+    assert boundary_matrix(cx, order).columns == expected

@@ -129,9 +129,29 @@ def test_affinity_rejects_bad_epsilon():
 
 
 def test_affinity_underflow_detected():
+    # exp(-2500) underflows to exactly 0; the unit diagonal keeps every row
+    # sum >= 1, so the operator is still well defined
     d = np.array([[0.0, 50.0], [50.0, 0.0]])
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        affinity(d, 1.0)  # exp(-2500) underflows to exactly 0
+    w = affinity(d, 1.0)
+    assert w.entries[0, 1] == 0.0
+    k = diffusion_operator(w).entries
+    assert (k >= 0.0).all()
+    np.testing.assert_array_equal(k.sum(axis=1), np.ones(2))
+
+
+@pytest.mark.parametrize("entry", [1.5, -0.25, np.nan, np.inf])
+def test_affinity_matrix_rejects_entries_outside_unit_interval(entry):
+    with pytest.raises(ValueError):
+        AffinityMatrix(np.array([[1.0, entry], [entry, 1.0]]), 1.0)
+
+
+def test_far_outlier_keeps_sample_operator_valid():
+    rng = np.random.default_rng(5)
+    obs = rng.normal(size=(50, 2))
+    obs[0] = (60.0, 0.0)
+    k = sample_diffusion_operator(Sample(obs)).entries
+    assert (k[0, 1:] == 0.0).all()
+    np.testing.assert_allclose(k.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_affinity_scale_monotonicity():

@@ -165,6 +165,22 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="at least 2"):
             run_pipeline(torus_datasets([1]), PipelineConfig())
 
+    def test_far_outliers_do_not_stop_the_run(self):
+        # one observation per sample so far away that its Gaussian affinity
+        # to every other observation underflows to exactly 0
+        def dataset(seed):
+            rng = np.random.default_rng(seed)
+            samples = []
+            for i in range(6):
+                obs = rng.normal(size=(50, 2))
+                obs[i] = (60.0, 0.0)
+                samples.append(Sample(obs))
+            return Dataset(tuple(samples))
+
+        matrix, diagrams = run_pipeline([dataset(s) for s in (1, 2, 3)], PipelineConfig())
+        assert np.isfinite(matrix.entries).all()
+        assert all(len(pds[0].pairs) == 6 for pds in diagrams.values())
+
 
 class TestBaselines:
     def test_cross_correlation_complex_is_monotone_and_positive(self):
