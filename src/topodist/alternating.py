@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from topodist.dataset import _readonly
 from topodist.diffusion import DiffusionOperator
 
 __all__ = [
@@ -33,12 +34,6 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _check_symmetric(entries: np.ndarray, what: str) -> None:
@@ -95,8 +90,7 @@ def pair_operator(
     """
     if k1.size != k2.size:
         raise ValueError(f"operator sizes differ: {k1.size} vs {k2.size}")
-    a, b = k1.entries, k2.entries
-    return PairOperator(a @ b.T + b @ a.T, pair)
+    return PairOperator(_pair_entries(k1.entries, k2.entries), pair)
 
 
 def triple_operator(
@@ -122,11 +116,27 @@ def triple_operator(
         if s.pair != face:
             raise ValueError(f"pair operator tagged {s.pair} passed for face {face}")
 
-    out = np.zeros((k1.size, k1.size))
+    entries = _triple_entries(
+        k1.entries, k2.entries, k3.entries, s12.entries, s23.entries, s13.entries
+    )
+    return TripleOperator(entries, (i1, i2, i3))
+
+
+def _pair_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entries of the pair operator of diffusion matrices ``a`` and ``b``."""
+    return a @ b.T + b @ a.T
+
+
+def _triple_entries(
+    k1: np.ndarray, k2: np.ndarray, k3: np.ndarray,
+    s12: np.ndarray, s23: np.ndarray, s13: np.ndarray,
+) -> np.ndarray:
+    """Entries of the triple operator from diffusion and face pair matrices."""
+    out = np.zeros(k1.shape)
     # each face operator multiplies the opposite vertex's diffusion operator
     for s, k in ((s12, k3), (s23, k1), (s13, k2)):
-        out += s.entries @ k.entries.T + k.entries @ s.entries
-    return TripleOperator(out, (i1, i2, i3))
+        out += s @ k.T + k @ s
+    return out
 
 
 def _inverse_centered_frobenius(entries: np.ndarray, what: str) -> float:

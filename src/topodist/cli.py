@@ -127,7 +127,7 @@ def _cmd_patch_cube(args: argparse.Namespace) -> int:
 def _cmd_build_complex(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     config = _effective_config(args)
-    cx = build_weighted_complex(dataset, config, workers=args.workers)
+    cx = build_weighted_complex(dataset, config)
     write_complex_csv(cx, args.out)
     print(f"wrote {cx.n_simplexes} simplexes to {args.out}")
     return 0
@@ -182,9 +182,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         config.to_json(out / "config.json")
         write_distance_csv(matrix, out / "distances.csv")
     else:
-        matrix, _ = run_pipeline(
-            datasets, config, out_dir=out, labels=labels, workers=args.workers
-        )
+        matrix, _ = run_pipeline(datasets, config, out_dir=out, labels=labels)
     print(f"wrote {matrix.n}x{matrix.n} distance matrix under {out}")
     return 0
 
@@ -198,9 +196,7 @@ def _cmd_weight_profile(args: argparse.Namespace) -> int:
 
 def _cmd_dimension_sweep(args: argparse.Namespace) -> int:
     template = _torus_spec(args, m=max(args.m_values))
-    matrix, m_of = dimension_sweep(
-        args.m_values, args.per_m, template, out_dir=args.out, workers=args.workers
-    )
+    matrix, m_of = dimension_sweep(args.m_values, args.per_m, template, out_dir=args.out)
     print(f"wrote {matrix.n}x{matrix.n} distance matrix under {args.out}")
     return 0
 
@@ -226,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-complex", help="weighted complex for one dataset")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="complex CSV path")
-    p.add_argument("--workers", type=int, default=None)
     _add_config_args(p)
     p.set_defaults(handler=_cmd_build_complex)
 
@@ -255,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full chain: datasets to distance matrix")
     p.add_argument("datasets", nargs="+", help="dataset directories")
     p.add_argument("--out", required=True, help="artifact output directory")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--graph-spectral", action="store_true",
         help="baseline: compare edge-weight spectra instead of diagrams",
@@ -278,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-m", type=int, required=True, help="datasets per circle count")
     _add_torus_args(p, with_m=False)
     p.add_argument("--out", required=True, help="artifact output directory")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_dimension_sweep)
 
     return parser

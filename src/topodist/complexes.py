@@ -22,13 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from topodist.alternating import (
-    PairOperator,
-    edge_weight,
-    pair_operator,
-    triangle_weight,
-    triple_operator,
-)
+from topodist.alternating import _inverse_centered_frobenius, _pair_entries, _triple_entries
 from topodist.diffusion import DiffusionOperator
 
 __all__ = [
@@ -209,8 +203,18 @@ def raw_weights(
 ) -> np.ndarray:
     """Alternating-diffusion weights per simplex, before monotone enforcement.
 
-    Vertices get 0.  Useful on its own for weight statistics; building a
+    Vertices get 0, edges and triangles the weights of
+    :func:`~topodist.alternating.edge_weight` and
+    :func:`~topodist.alternating.triangle_weight`, computed from the same
+    formulas on plain arrays: each pair operator is formed once and reused by
+    every triangle on that edge.  Every edge of a triangle must be in the
+    skeleton.  Useful on its own for weight statistics; building a
     filtration should go through :func:`assign_weights` instead.
+
+    ``workers`` > 1 evaluates the triangles on that many threads; the result
+    does not depend on it.  No library function passes it: it exists for the
+    benchmark's threading probe, which has not shown it faster than the
+    serial loop.
     """
     n = len(operators)
     sizes = {k.size for k in operators}
@@ -222,35 +226,35 @@ def raw_weights(
                 f"simplex {s.vertices} references vertex >= {n} (one operator per vertex)"
             )
 
+    k = [op.entries for op in operators]
     weights = np.zeros(len(skeleton))
-    pair_cache: dict[tuple[int, int], PairOperator] = {}
+    pair_cache: dict[tuple[int, int], np.ndarray] = {}
     for i, s in enumerate(skeleton):
         if s.dimension == 1:
             a, b = s.vertices
+            pair_cache[(a, b)] = _pair_entries(k[a], k[b])
             try:
-                op = pair_operator(operators[a], operators[b], pair=(a, b))
-                pair_cache[(a, b)] = op
-                weights[i] = edge_weight(op)
+                weights[i] = _inverse_centered_frobenius(pair_cache[(a, b)], "pair operator")
             except ValueError as exc:
                 raise ValueError(f"edge {s.vertices}: {exc}") from exc
 
+    triangle_ids = [i for i, s in enumerate(skeleton) if s.dimension == 2]
+    for i in triangle_ids:
+        a, b, c = skeleton[i].vertices
+        for edge in ((a, b), (a, c), (b, c)):
+            if edge not in pair_cache:
+                raise ValueError(f"triangle {skeleton[i].vertices} lacks edge {edge}")
+
     def triangle(s: Simplex) -> float:
         a, b, c = s.vertices
+        entries = _triple_entries(
+            k[a], k[b], k[c], pair_cache[(a, b)], pair_cache[(b, c)], pair_cache[(a, c)]
+        )
         try:
-            op = triple_operator(
-                operators[a],
-                operators[b],
-                operators[c],
-                pair_cache[(a, b)],
-                pair_cache[(b, c)],
-                pair_cache[(a, c)],
-                triple=(a, b, c),
-            )
-            return triangle_weight(op)
+            return _inverse_centered_frobenius(entries, "triple operator")
         except ValueError as exc:
             raise ValueError(f"triangle {s.vertices}: {exc}") from exc
 
-    triangle_ids = [i for i, s in enumerate(skeleton) if s.dimension == 2]
     if workers is not None and workers > 1 and triangle_ids:
         # matrix products release the GIL, so threads buy real parallelism;
         # results land by index, keeping the output order-independent
@@ -269,23 +273,18 @@ def assign_weights(
     skeleton: Sequence[Simplex],
     operators: Sequence[DiffusionOperator],
     normalize: bool = False,
-    workers: int | None = None,
 ) -> WeightedComplex:
     """Attach alternating-diffusion weights to a skeleton.
 
     Vertices weigh 0, edges and triangles get the centered inverse-Frobenius
-    weights of :func:`~topodist.alternating.edge_weight` and
-    :func:`~topodist.alternating.triangle_weight`, and the result is passed
-    through :func:`enforce_monotone`.  With
-    ``normalize=True`` all weights are divided by the median raw weight of
-    the positive-dimension simplexes, making weight scales comparable across
-    datasets with different observation counts (the order within one
-    filtration is unchanged).  ``workers`` bounds the thread count for the
-    triangle evaluations (the dominant cost); the result does not depend on
-    it.
+    weights of :func:`raw_weights`, and the result is passed through
+    :func:`enforce_monotone`.  With ``normalize=True`` all weights are
+    divided by the median raw weight of the positive-dimension simplexes,
+    making weight scales comparable across datasets with different
+    observation counts (the order within one filtration is unchanged).
     """
     skeleton = list(skeleton)
-    weights = raw_weights(skeleton, operators, workers=workers)
+    weights = raw_weights(skeleton, operators)
     if normalize:
         weights = _median_normalized(skeleton, weights)
     return enforce_monotone(WeightedComplex(tuple(skeleton), weights))

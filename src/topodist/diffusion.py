@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from topodist.dataset import Sample
+from topodist.dataset import Sample, _readonly
 
 __all__ = [
     "AffinityMatrix",
@@ -25,12 +25,6 @@ __all__ = [
     "diffusion_operator",
     "sample_diffusion_operator",
 ]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -88,14 +82,12 @@ class DiffusionOperator:
         return self.entries.shape[0]
 
 
-def pairwise_distances(sample: Sample, metric: str = "euclidean") -> np.ndarray:
-    """Distance matrix between the observations of one sample.
+def pairwise_distances(sample: Sample) -> np.ndarray:
+    """Euclidean distance matrix between the observations of one sample.
 
-    Only the Euclidean metric is supported.  The result is exactly symmetric
-    with an exactly zero diagonal (each pair is computed once).
+    The result is exactly symmetric with an exactly zero diagonal (each pair
+    is computed once).
     """
-    if metric != "euclidean":
-        raise ValueError(f"unsupported metric {metric!r}")
     return squareform(pdist(sample.observations, metric="euclidean"))
 
 
@@ -147,14 +139,12 @@ def _two_step(mat: np.ndarray) -> tuple[DiffusionOperator, np.ndarray, np.ndarra
     return DiffusionOperator(w_tilde / q_tilde[:, np.newaxis]), w_tilde, q_tilde
 
 
-def sample_diffusion_operator(
-    sample: Sample, median_factor: float = 1.0, metric: str = "euclidean"
-) -> DiffusionOperator:
+def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> DiffusionOperator:
     """Full chain from a sample to its diffusion operator.
 
     The kernel scale is the median heuristic applied to this sample's own
     distances.
     """
-    d = pairwise_distances(sample, metric=metric)
+    d = pairwise_distances(sample)
     eps = median_scale(d, median_factor)
     return diffusion_operator(affinity(d, eps))

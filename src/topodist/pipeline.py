@@ -161,7 +161,6 @@ def _grid_shape(dataset: Dataset) -> tuple[int, int]:
 def build_weighted_complex(
     dataset: Dataset,
     config: PipelineConfig,
-    workers: int | None = None,
 ) -> WeightedComplex:
     """Build the weighted complex for one dataset per the configured scheme."""
     n = len(dataset.samples)
@@ -178,7 +177,7 @@ def build_weighted_complex(
         sample_diffusion_operator(s, median_factor=config.kernel_epsilon_factor)
         for s in dataset.samples
     ]
-    return assign_weights(skeleton, operators, normalize=config.normalize, workers=workers)
+    return assign_weights(skeleton, operators, normalize=config.normalize)
 
 
 def cross_correlation_complex(
@@ -241,7 +240,6 @@ def run_pipeline(
     config: PipelineConfig,
     out_dir: str | Path | None = None,
     labels: Sequence[str] | None = None,
-    workers: int | None = None,
 ) -> tuple[DatasetDistanceMatrix, dict[str, dict[int, PersistenceDiagram]]]:
     """Run every stage on each dataset and return the distance matrix.
 
@@ -273,7 +271,7 @@ def run_pipeline(
     per_degree: list[PersistenceDiagram] = []
     for dataset, label in zip(datasets, labels):
         try:
-            cx = build_weighted_complex(dataset, config, workers=workers)
+            cx = build_weighted_complex(dataset, config)
         except ValueError as exc:
             raise PipelineError(f"dataset {label!r}, stage weights: {exc}") from exc
         try:
@@ -401,7 +399,6 @@ def dimension_sweep(
     per_m: int,
     template: TorusSpec,
     out_dir: str | Path | None = None,
-    workers: int | None = None,
 ) -> tuple[DatasetDistanceMatrix, dict[str, int]]:
     """Distance matrix across datasets generated with different circle counts.
 
@@ -432,7 +429,5 @@ def dimension_sweep(
             m_of[label] = m
 
     config = PipelineConfig(degree=1, p=2.0)
-    matrix, _ = run_pipeline(
-        datasets, config, out_dir=out_dir, labels=labels, workers=workers
-    )
+    matrix, _ = run_pipeline(datasets, config, out_dir=out_dir, labels=labels)
     return matrix, m_of

@@ -54,7 +54,7 @@ def sweep():
         tuple_size=3, r_max=15.0, sigma=0.1, seed=0,
     )
     start = time.perf_counter()
-    matrix, m_of = dimension_sweep([3, 8, 20], 4, template, workers=4)
+    matrix, m_of = dimension_sweep([3, 8, 20], 4, template)
     return matrix, m_of, time.perf_counter() - start
 
 

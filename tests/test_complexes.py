@@ -15,6 +15,7 @@ from topodist.complexes import (
     enforce_monotone,
     filtration_order,
     grid_skeleton,
+    raw_weights,
     read_complex_csv,
     write_complex_csv,
 )
@@ -213,6 +214,25 @@ def test_assign_weights_normalization_preserves_order():
 def test_assign_weights_operator_count_mismatch():
     with pytest.raises(ValueError, match="one operator per vertex"):
         assign_weights(complete_skeleton(3), identity_ops(2))
+
+
+def test_raw_weights_threads_match_serial():
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=6, n_observations=30, r_max=3.0, sigma=0.1, seed=31)
+    )
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    skeleton = complete_skeleton(6)
+    assert np.array_equal(raw_weights(skeleton, ops, workers=2), raw_weights(skeleton, ops))
+
+
+def test_triangle_without_an_edge_is_rejected():
+    skeleton = [Simplex((v,)) for v in range(3)]
+    skeleton += [Simplex((0, 1)), Simplex((1, 2)), Simplex((0, 1, 2))]
+    message = r"^triangle \(0, 1, 2\) lacks edge \(0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        raw_weights(skeleton, identity_ops(3))
+    with pytest.raises(ValueError, match=message):
+        assign_weights(skeleton, identity_ops(3))
 
 
 # ---------------------------------------------------------------------------

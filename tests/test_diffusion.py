@@ -72,11 +72,6 @@ def test_pairwise_matches_naive_loop():
     np.testing.assert_allclose(d, distance_oracle(obs), rtol=0.0, atol=1e-12)
 
 
-def test_pairwise_rejects_unknown_metric():
-    with pytest.raises(ValueError, match="metric"):
-        pairwise_distances(Sample(np.zeros((3, 2))), metric="cosine")
-
-
 # ---------------------------------------------------------------------------
 # median scale
 

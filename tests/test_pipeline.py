@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topodist.cli import main
 from topodist.dataset import Dataset, Sample, TorusSpec, generate_torus_dataset, patch_cube
@@ -26,6 +27,7 @@ from topodist.pipeline import (
     write_weight_profile_csv,
 )
 from topodist.complexes import complete_skeleton
+from topodist.wasserstein import DiagramDistanceSpec, wasserstein
 
 
 SPEC = TorusSpec(
@@ -136,12 +138,6 @@ class TestRunPipeline:
         ]) == 0
         assert (tmp_path / "dist.csv").read_bytes() == (out / "distances.csv").read_bytes()
 
-    def test_workers_do_not_change_the_result(self):
-        datasets = torus_datasets([1, 2])
-        serial, _ = run_pipeline(datasets, PipelineConfig())
-        threaded, _ = run_pipeline(datasets, PipelineConfig(), workers=4)
-        assert np.array_equal(serial.entries, threaded.entries)
-
     def test_grid_skeleton_from_patch_metadata(self):
         rng = np.random.default_rng(0)
         cube = rng.normal(size=(6, 9, 5))
@@ -180,6 +176,21 @@ class TestRunPipeline:
         matrix, diagrams = run_pipeline([dataset(s) for s in (1, 2, 3)], PipelineConfig())
         assert np.isfinite(matrix.entries).all()
         assert all(len(pds[0].pairs) == 6 for pds in diagrams.values())
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), perm=st.permutations(range(8)))
+    def test_sample_permutation_leaves_diagrams_unchanged(self, seed, perm):
+        dataset = generate_torus_dataset(dataclasses.replace(SPEC, n_samples=8, seed=seed))
+        permuted = Dataset(tuple(dataset.samples[i] for i in perm), dataset.metadata)
+        _, diagrams = run_pipeline([dataset, permuted], PipelineConfig())
+        for degree in (0, 1):
+            original, relabeled = (d[degree] for d in diagrams.values())
+            spec = DiagramDistanceSpec(p=2.0, degree=degree)
+            assert wasserstein(original, relabeled, spec) <= 1e-9
+            essential = [
+                sorted(p.birth for p in d.pairs if p.is_essential) for d in (original, relabeled)
+            ]
+            np.testing.assert_allclose(essential[0], essential[1], rtol=0.0, atol=1e-9)
 
 
 class TestBaselines:
