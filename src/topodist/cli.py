@@ -81,14 +81,11 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     """Pipeline config: a JSON file plus flag overrides (flags win)."""
     p.add_argument("--config", help="JSON file with pipeline settings")
     p.add_argument("--epsilon-factor", type=float, default=None, dest="kernel_epsilon_factor")
-    p.add_argument("--patch-size", type=int, default=None)
     p.add_argument("--skeleton", choices=["complete", "grid"], default=None)
     p.add_argument("--degree", type=int, choices=[0, 1], default=None)
     p.add_argument("--p", type=float, default=None, help="Wasserstein order")
     p.add_argument("--infinite-policy", choices=["drop", "cap"], default=None)
     p.add_argument("--cap-value", type=float, default=None)
-    p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--normalize", action=argparse.BooleanOptionalAction, default=None,
         help="divide weights by their median before filtering",

@@ -92,19 +92,25 @@ def pairwise_distances(sample: Sample) -> np.ndarray:
 
 
 def median_scale(distances: np.ndarray, factor: float = 1.0) -> float:
-    """Kernel scale: ``factor`` times the median squared pairwise distance.
+    """Kernel scale: ``factor`` times the median positive squared distance.
 
-    The median runs over the strictly-upper-triangle entries only, squared so
-    that ``factor=1`` puts the bulk of the Gaussian exponents near 1.
+    The median runs over the strictly-upper-triangle entries that are
+    positive, squared so that ``factor=1`` puts the bulk of the Gaussian
+    exponents near 1.  Zero distances between coincident observations do
+    not enter it, so duplicates cannot pull the scale to zero; only a sample
+    whose observations all coincide is rejected.
     """
     if factor <= 0.0:
         raise ValueError(f"factor must be > 0, got {factor}")
     d = np.asarray(distances, dtype=np.float64)
-    upper = d[np.triu_indices(d.shape[0], k=1)]
-    med = float(np.median(upper**2))
-    if med <= 0.0:
-        raise ValueError("all pairwise distances are zero; kernel scale is degenerate")
-    return factor * med
+    squared = d[np.triu_indices(d.shape[0], k=1)] ** 2
+    positive = squared[squared > 0.0]
+    if positive.size == 0:
+        raise ValueError(
+            "no pairwise distance is positive (all observations coincide); "
+            "kernel scale is degenerate"
+        )
+    return factor * float(np.median(positive))
 
 
 def affinity(distances: np.ndarray, epsilon: float) -> AffinityMatrix:

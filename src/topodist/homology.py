@@ -2,7 +2,9 @@
 
 The sublevel filtration of a monotone weighted complex feeds a boundary
 matrix in filtration order; standard left-to-right column reduction pairs
-each death simplex with the birth it kills.  Degrees 0 and 1 are supported
+each death simplex with the birth it kills.  The working column is a
+Python-int bitset, and only reduced columns that own a lowest row are kept
+(the bit-column representation of PHAT).  Degrees 0 and 1 are supported
 (the complexes stop at triangles).
 """
 
@@ -128,31 +130,33 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
 def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     """Left-to-right Z2 column reduction with lowest-one pairing.
 
-    While a column shares its lowest row with an earlier reduced column, the
-    earlier column is XORed in.  A column that ends up nonzero pairs its
-    lowest row (birth) with itself (death); empty columns whose position is
-    never a lowest row are essential births.
+    Each column becomes a Python-int bitset (bit r set for row r) only when
+    the sweep reaches it, so its lowest row is ``bit_length() - 1`` and
+    column addition is XOR.  While that lowest row is owned by an earlier
+    reduced column, the owner is XORed in.  A column that ends up nonzero
+    pairs its lowest row (birth) with itself (death) and becomes that row's
+    owner; only these pivot columns are kept.  Columns that reduce to zero
+    and are never a lowest row are essential births.
     """
-    cols: list[set[int]] = [set(c) for c in m.columns]
-    low_to_col: dict[int, int] = {}
+    pivots: dict[int, int] = {}  # lowest row -> reduced column owning it
     pairs_pos: list[tuple[int, int]] = []
-    for j in range(len(cols)):
-        while cols[j]:
-            low = max(cols[j])
-            other = low_to_col.get(low)
-            if other is None:
+    cleared: list[int] = []
+    for j, rows in enumerate(m.columns):
+        col = sum(1 << r for r in rows)
+        while col:
+            low = col.bit_length() - 1
+            owner = pivots.get(low)
+            if owner is None:
+                pivots[low] = col
+                pairs_pos.append((low, j))
                 break
-            cols[j] ^= cols[other]
-        if cols[j]:
-            low = max(cols[j])
-            low_to_col[low] = j
-            pairs_pos.append((low, j))
+            col ^= owner
+        else:  # reduced to zero
+            cleared.append(j)
 
-    paired = {p for pair in pairs_pos for p in pair}
-    essential_pos = [j for j in range(len(cols)) if j not in paired]
     return Reduction(
         pairs=tuple((m.order[b], m.order[d]) for b, d in pairs_pos),
-        essential=tuple(m.order[j] for j in essential_pos),
+        essential=tuple(m.order[j] for j in cleared if j not in pivots),
     )
 
 

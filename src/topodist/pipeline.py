@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 _SKELETONS = ("complete", "grid")
-_POLICIES = ("drop", "cap")
 _SCHEMES = ("alternating", "cross-correlation")
 
 
@@ -76,20 +75,16 @@ class PipelineConfig:
     """Every knob of the end-to-end run, JSON round-trippable.
 
     ``degree``/``p``/``infinite_policy``/``cap_value`` configure the
-    diagram metric, ``skeleton`` selects the complex built over each
-    dataset's samples, ``embed_dim`` only matters for the embedding
-    stage, and ``seed`` only for the simulation front ends.
+    diagram metric and are validated by :meth:`metric_spec`, and
+    ``skeleton`` selects the complex built over each dataset's samples.
     """
 
     kernel_epsilon_factor: float = 1.0
-    patch_size: int = 5
     skeleton: str = "complete"
     degree: int = 1
     p: float = 2.0
     infinite_policy: str = "drop"
     cap_value: float | None = None
-    embed_dim: int = 20
-    seed: int = 0
     normalize: bool = False
     weight_scheme: str = "alternating"
 
@@ -98,22 +93,9 @@ class PipelineConfig:
             raise ValueError(
                 f"kernel_epsilon_factor must be positive, got {self.kernel_epsilon_factor}"
             )
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.skeleton not in _SKELETONS:
             raise ValueError(f"skeleton must be one of {_SKELETONS}, got {self.skeleton!r}")
-        if self.degree not in (0, 1):
-            raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.infinite_policy not in _POLICIES:
-            raise ValueError(
-                f"infinite_policy must be one of {_POLICIES}, got {self.infinite_policy!r}"
-            )
-        if self.infinite_policy == "cap" and self.cap_value is None:
-            raise ValueError("infinite_policy 'cap' requires cap_value")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        self.metric_spec()
         if self.weight_scheme not in _SCHEMES:
             raise ValueError(
                 f"weight_scheme must be one of {_SCHEMES}, got {self.weight_scheme!r}"

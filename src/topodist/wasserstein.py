@@ -3,8 +3,11 @@
 Each point of one diagram may match a point of the other diagram or slide to
 its own projection on the diagonal x = y; the distance is the p-th root of
 the minimal total p-th-power movement.  The matching is solved exactly as a
-balanced assignment problem: an (n1 + n2) square cost matrix where every real
-point also owns one diagonal slot and diagonal-to-diagonal cells cost 0.
+balanced assignment problem (the formulation of Kerber, Morozov & Nigmetov,
+"Geometry helps to compare persistence diagrams"): an (n1 + n2) square cost
+matrix where every real point also owns one diagonal slot and
+diagonal-to-diagonal cells cost 0.  The matrix is filled from the points as
+(n, 2) arrays: one broadcast distance block and two diagonals of gaps.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class DiagramDistanceSpec:
     cap_value: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
         if self.infinite_policy not in ("drop", "cap"):
@@ -93,26 +96,30 @@ def diagonal_gap(point: tuple[float, float]) -> float:
         raise ValueError("infinite death; resolve it with an infinite policy first")
     if not b <= d:
         raise ValueError(f"birth {b} exceeds death {d}")
-    return (d - b) / math.sqrt(2.0)
+    return _gap(b, d)
+
+
+def _gap(birth, death):
+    """The diagonal-gap formula, unchecked; floats and arrays alike."""
+    return (death - birth) / math.sqrt(2.0)
 
 
 def _resolved_points(
     diagram: PersistenceDiagram, spec: DiagramDistanceSpec
-) -> list[tuple[float, float]]:
-    out = []
-    for p in diagram.pairs:
-        if math.isinf(p.death):
-            if spec.infinite_policy == "drop":
-                continue
-            death = float(spec.cap_value)  # type: ignore[arg-type]
-            if death < p.birth:
-                raise ValueError(
-                    f"cap_value {death} is below a birth {p.birth}; cannot cap"
-                )
-            out.append((p.birth, death))
-        else:
-            out.append((p.birth, p.death))
-    return out
+) -> np.ndarray:
+    """(n, 2) finite (birth, death) rows in pair order, after the infinite policy."""
+    pts = np.array([(p.birth, p.death) for p in diagram.pairs], dtype=np.float64)
+    pts = pts.reshape(-1, 2)
+    infinite = np.isinf(pts[:, 1])
+    if spec.infinite_policy == "drop":
+        return pts[~infinite]
+    births = pts[infinite, 0]
+    if (births > spec.cap_value).any():
+        raise ValueError(
+            f"cap_value {spec.cap_value} is below a birth {births.max()}; cannot cap"
+        )
+    pts[infinite, 1] = spec.cap_value
+    return pts
 
 
 def wasserstein(
@@ -128,18 +135,14 @@ def wasserstein(
     if n1 == 0 and n2 == 0:
         return 0.0
 
-    size = n1 + n2
-    cost = np.zeros((size, size))
-    for i, pa in enumerate(a):
-        for j, pb in enumerate(b):
-            cost[i, j] = math.hypot(pa[0] - pb[0], pa[1] - pb[1]) ** spec.p
+    cost = np.zeros((n1 + n2, n1 + n2))
+    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
+    cost[:n1, :n2] = np.hypot(diff[..., 0], diff[..., 1]) ** spec.p
     # each real point owns one diagonal slot; foreign slots are forbidden
     cost[:n1, n2:] = np.inf
-    for i, pa in enumerate(a):
-        cost[i, n2 + i] = diagonal_gap(pa) ** spec.p
     cost[n1:, :n2] = np.inf
-    for j, pb in enumerate(b):
-        cost[n1 + j, j] = diagonal_gap(pb) ** spec.p
+    cost[np.arange(n1), n2 + np.arange(n1)] = _gap(a[:, 0], a[:, 1]) ** spec.p
+    cost[n1 + np.arange(n2), np.arange(n2)] = _gap(b[:, 0], b[:, 1]) ** spec.p
     # diagonal-to-diagonal cells (bottom-right block) stay 0
 
     rows, cols = linear_sum_assignment(cost)

@@ -1,8 +1,12 @@
 """Tests for affinities and the two-step normalized diffusion operator."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from topodist.complexes import assign_weights, complete_skeleton
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
 from topodist.diffusion import (
     AffinityMatrix,
@@ -101,6 +105,23 @@ def test_median_scale_degenerate():
         median_scale(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="factor"):
         median_scale(np.ones((3, 3)), 0.0)
+
+
+def test_median_scale_skips_coincident_observations():
+    # upper triangle distances 0, 0, 2 -> positive squared {4}
+    d = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+    assert median_scale(d, 1.0) == 4.0
+
+
+def test_mostly_duplicate_sample_gives_valid_operator():
+    # 8 of 10 observations coincide: 28 of the 45 distances are zero, 17 are not
+    obs = np.random.default_rng(3).normal(size=(10, 3))
+    obs[2:] = obs[2]
+    d = pairwise_distances(Sample(obs))
+    assert (d[np.triu_indices(10, k=1)] > 0.0).sum() == 17
+    k = sample_diffusion_operator(Sample(obs)).entries
+    assert (k >= 0.0).all()
+    np.testing.assert_allclose(k.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +268,66 @@ def test_operator_type_validation():
         DiffusionOperator(np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="sum to 1"):
         DiffusionOperator(np.array([[0.6, 0.6], [0.5, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(3, 20),
+    dim=st.integers(1, 4),
+    c=st.floats(1e-3, 1e3),
+)
+def test_operator_invariant_under_rescaling(seed, n, dim, c):
+    # the median heuristic scales epsilon with the squared distances
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    base = sample_diffusion_operator(Sample(x)).entries
+    scaled = sample_diffusion_operator(Sample(c * x)).entries
+    assert np.abs(scaled - base).max() <= 1e-12
+
+
+@st.composite
+def duplicated_samples(draw) -> list[Sample]:
+    """Three samples of one size whose rows repeat a few distinct points."""
+    size = draw(st.integers(2, 12))
+    out = []
+    for _ in range(3):
+        rows = draw(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(
+                lambda r: len(set(r)) > 1
+            )
+        )
+        base = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(4, 2))
+        out.append(Sample(base[rows]))
+    return out
+
+
+def independent_duplicates(a: Sample, b: Sample) -> bool:
+    """Whether the duplicate groups of two samples are statistically independent.
+
+    Then every group of one sample meets the groups of the other in
+    proportion to their sizes, and the centered pair operator is exactly 0.
+    """
+    ga = np.unique(a.observations, axis=0, return_inverse=True)[1].ravel()
+    gb = np.unique(b.observations, axis=0, return_inverse=True)[1].ravel()
+    counts = np.zeros((ga.max() + 1, gb.max() + 1))
+    np.add.at(counts, (ga, gb), 1.0)
+    return np.array_equal(counts * len(ga), np.outer(counts.sum(1), counts.sum(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(duplicated_samples())
+def test_duplicate_observations_give_valid_operators_and_weights(samples):
+    ops = [sample_diffusion_operator(s) for s in samples]
+    for k in ops:
+        assert (k.entries >= 0.0).all()
+        np.testing.assert_allclose(k.entries.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    if any(independent_duplicates(a, b) for a, b in itertools.combinations(samples, 2)):
+        with pytest.raises(ValueError, match="zero matrix"):
+            assign_weights(complete_skeleton(3), ops)
+    else:
+        cx = assign_weights(complete_skeleton(3), ops)
+        assert np.isfinite(cx.weights).all()

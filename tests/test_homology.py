@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gf2 import betti, diagram_oracle
 from topodist.complexes import (
@@ -223,6 +224,24 @@ def test_diagrams_match_rank_oracle():
         dgs = persistence_diagrams(cx)
         for k in (0, 1):
             assert dgs[k].points() == diagram_oracle(cx, k)
+
+
+@st.composite
+def tied_complete_complexes(draw) -> WeightedComplex:
+    """Complete 2-skeleton on 6-9 vertices, edge/triangle weights from 3 values."""
+    skeleton = complete_skeleton(draw(st.integers(6, 9)))
+    level = st.sampled_from([0.25, 0.5, 0.75])
+    weights = [0.0 if s.dimension == 0 else draw(level) for s in skeleton]
+    return enforce_monotone(WeightedComplex(tuple(skeleton), np.array(weights)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tied_complete_complexes())
+def test_tied_complete_complexes_match_rank_oracle(cx):
+    # ties put many cycles at one filtration value: long XOR chains
+    dgs = persistence_diagrams(cx)
+    for k in (0, 1):
+        assert dgs[k].points() == diagram_oracle(cx, k)
 
 
 def test_betti_against_reduction_counts():

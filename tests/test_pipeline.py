@@ -64,13 +64,14 @@ class TestPipelineConfig:
         "kwargs",
         [
             {"kernel_epsilon_factor": 0.0},
-            {"patch_size": 0},
             {"skeleton": "full"},
             {"degree": 2},
             {"p": 0.5},
+            {"p": float("inf")},
             {"infinite_policy": "keep"},
             {"infinite_policy": "cap"},
-            {"embed_dim": 0},
+            {"infinite_policy": "cap", "cap_value": float("inf")},
+            {"infinite_policy": "cap", "cap_value": float("nan")},
             {"weight_scheme": "magic"},
         ],
     )
@@ -176,6 +177,18 @@ class TestRunPipeline:
         matrix, diagrams = run_pipeline([dataset(s) for s in (1, 2, 3)], PipelineConfig())
         assert np.isfinite(matrix.entries).all()
         assert all(len(pds[0].pairs) == 6 for pds in diagrams.values())
+
+    def test_duplicate_observations_do_not_stop_the_run(self):
+        # 8 of one sample's 10 observations coincide: most of its pairwise
+        # distances are zero, but not all of them
+        datasets = torus_datasets([1, 2])
+        obs = np.array(datasets[0].samples[0].observations[:10])
+        obs[2:] = obs[2]
+        samples = [Sample(s.observations[:10]) for s in datasets[0].samples[1:]]
+        dataset = Dataset((Sample(obs), *samples))
+        matrix, diagrams = run_pipeline([dataset, datasets[1]], PipelineConfig())
+        assert np.isfinite(matrix.entries).all()
+        assert len(diagrams["dataset_0"][0].pairs) == 6
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), perm=st.permutations(range(8)))

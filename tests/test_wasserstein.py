@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topodist.homology import PersistenceDiagram, PersistencePair
 from topodist.wasserstein import (
@@ -118,6 +119,22 @@ def test_matches_exhaustive_enumeration(p):
         assert got == pytest.approx(want, abs=1e-9)
 
 
+# a few fixed values make ties and zero-persistence points likely
+_BIRTHS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+_LIFETIMES = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)
+_POINTS = st.lists(
+    st.tuples(_BIRTHS, _LIFETIMES).map(lambda t: (t[0], t[0] + t[1])), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts1=_POINTS, pts2=_POINTS, p=st.sampled_from([1.0, 2.0, 3.5]))
+def test_matches_exhaustive_on_drawn_diagrams(pts1, pts2, p):
+    spec = DiagramDistanceSpec(p=p, degree=1)
+    got = wasserstein(diagram(pts1), diagram(pts2), spec)
+    assert got == pytest.approx(exhaustive_wasserstein(pts1, pts2, p), abs=1e-9)
+
+
 def test_exhaustive_equivalence_six_points():
     rng = np.random.default_rng(223)
     for _ in range(8):
@@ -179,14 +196,16 @@ def test_cap_below_birth_rejected():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="p must be"):
-        DiagramDistanceSpec(p=0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be"):
+            DiagramDistanceSpec(p=p)
     with pytest.raises(ValueError, match="degree"):
         DiagramDistanceSpec(degree=2)
     with pytest.raises(ValueError, match="policy"):
         DiagramDistanceSpec(infinite_policy="ignore")
-    with pytest.raises(ValueError, match="cap_value"):
-        DiagramDistanceSpec(infinite_policy="cap")
+    for cap in (None, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cap_value"):
+            DiagramDistanceSpec(infinite_policy="cap", cap_value=cap)
 
 
 def test_degree_mismatch_rejected():
