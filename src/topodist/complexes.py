@@ -8,17 +8,19 @@ max-propagation pass, since a filtration requires it and the raw weights do
 not satisfy it: on simulated torus datasets half or more of the raw triangle
 weights lie below the largest weight of their edges.
 
-Facets are resolved once, by the closure check of :class:`WeightedComplex`,
-into the flat table that every later stage reads.
+Facets are resolved by one function, :func:`_facet_table`, into the flat
+tables that :class:`WeightedComplex` stores and :func:`raw_weights` reads.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +71,43 @@ class Simplex:
         ]
 
 
+class _MissingFacet(ValueError):
+    """A simplex whose facet is not in the sequence being resolved."""
+
+
+def _facet_table(simplexes: Sequence[Simplex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vertices, dims, facets)`` tables of :class:`WeightedComplex`.
+
+    Vertex ids are replaced by their ranks (the padding -1 ranks 0), so each
+    row encodes as one int64 in base (max rank + 1) however large the ids
+    are, for up to 2**21 - 1 distinct ids; facets are then found by binary
+    search in the sorted codes.  Rejects duplicates and names the first
+    simplex that lacks a facet.
+    """
+    vertices = np.array(
+        [s.vertices + (-1,) * (3 - len(s.vertices)) for s in simplexes], dtype=np.intp
+    ).reshape(-1, 3)
+    dims = (vertices >= 0).sum(axis=1) - 1
+    ranks = np.searchsorted(np.union1d(vertices, -1), vertices)
+    base = ranks.max(initial=0) + 1
+    if base > 2**21:
+        raise ValueError(f"{base - 1} distinct vertex ids overflow the int64 simplex codes")
+    codes = ranks @ [base**2, base, 1]
+    order = np.argsort(codes)
+    if (np.diff(codes[order]) == 0).any():
+        raise ValueError("duplicate simplexes")
+    faces = ranks[:, [[1, 2], [0, 2], [0, 1]]] @ [base**2, base]
+    at = order[np.minimum(np.searchsorted(codes, faces, sorter=order), len(codes) - 1)]
+    used = (np.arange(3) <= dims[:, None]) & (dims[:, None] > 0)
+    missing = np.argwhere(used & (codes[at] != faces))
+    if missing.size:
+        i, j = missing[0]
+        v, kinds = simplexes[i].vertices, ("vertex", "edge", "triangle")
+        face = v[:j] + v[j + 1 :]
+        raise _MissingFacet(f"{kinds[len(v) - 1]} {v} lacks {kinds[len(face) - 1]} {face}")
+    return vertices, dims, np.where(used, at, -1)
+
+
 @dataclass(frozen=True)
 class WeightedComplex:
     """Simplexes with parallel weights, closed under inclusion.
@@ -89,7 +128,6 @@ class WeightedComplex:
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
     dims: np.ndarray = field(init=False, repr=False, compare=False)
     facets: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         simplexes = tuple(self.simplexes)
@@ -101,30 +139,25 @@ class WeightedComplex:
             )
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
-        index = {s.vertices: i for i, s in enumerate(simplexes)}
-        if len(index) != len(simplexes):
-            raise ValueError("duplicate simplexes")
-        vertices = np.full((len(simplexes), 3), -1, dtype=np.intp)
-        facets = vertices.copy()
-        for i, v in enumerate(index):
-            vertices[i, : len(v)] = v
-            if len(v) == 1 and weights[i] != 0.0:
-                raise ValueError(f"vertex {v} must have weight 0")
-            for j in range(len(v) if len(v) > 1 else 0):
-                face = v[:j] + v[j + 1 :]
-                if face not in index:
-                    raise ValueError(f"complex not closed: {v} lacks face {face}")
-                facets[i, j] = index[face]
-        dims = (vertices >= 0).sum(axis=1) - 1
+        try:
+            vertices, dims, facets = _facet_table(simplexes)
+        except _MissingFacet as exc:
+            raise ValueError(f"complex not closed: {exc}") from None
+        weighted = np.flatnonzero((dims == 0) & (weights != 0.0))
+        if weighted.size:
+            raise ValueError(f"vertex {simplexes[weighted[0]].vertices} must have weight 0")
         for name, arr in (("vertices", vertices), ("dims", dims), ("facets", facets)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "simplexes", simplexes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", index)
+
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {s.vertices: i for i, s in enumerate(self.simplexes)}
 
     def position(self, vertices: tuple[int, ...]) -> int:
-        return self._index[tuple(vertices)]
+        return self._positions[tuple(vertices)]
 
     def weight_of(self, vertices: tuple[int, ...]) -> float:
         return float(self.weights[self.position(vertices)])
@@ -153,15 +186,8 @@ def complete_skeleton(n_vertices: int) -> list[Simplex]:
     """All vertices, edges, and triangles over ``n_vertices`` ids."""
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
-    out = [Simplex((i,)) for i in range(n_vertices)]
-    out += [Simplex((a, b)) for a in range(n_vertices) for b in range(a + 1, n_vertices)]
-    out += [
-        Simplex((a, b, c))
-        for a in range(n_vertices)
-        for b in range(a + 1, n_vertices)
-        for c in range(b + 1, n_vertices)
-    ]
-    return out
+    ids = range(n_vertices)
+    return [Simplex(v) for k in (1, 2, 3) for v in itertools.combinations(ids, k)]
 
 
 def grid_skeleton(rows: int, cols: int) -> list[Simplex]:
@@ -172,27 +198,13 @@ def grid_skeleton(rows: int, cols: int) -> list[Simplex]:
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError(f"degenerate grid {rows}x{cols}")
-
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    out: list[Simplex] = [Simplex((vid(r, c),)) for r in range(rows) for c in range(cols)]
-    edges: list[tuple[int, int]] = []
-    triangles: list[tuple[int, int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            a = vid(r, c)
-            if c + 1 < cols:
-                edges.append((a, vid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((a, vid(r + 1, c)))
-            if r + 1 < rows and c + 1 < cols:
-                b, cc, d = vid(r, c + 1), vid(r + 1, c), vid(r + 1, c + 1)
-                edges.append((a, d))
-                triangles.append((a, b, d))
-                triangles.append((a, cc, d))
-    out += [Simplex(e) for e in sorted(edges)]
-    out += [Simplex(t) for t in sorted(triangles)]
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    horizontal, vertical = (ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])
+    out = [Simplex((v,)) for v in range(rows * cols)]
+    for corners in ([horizontal, vertical, (a, d)], [(a, b, d), (a, c, d)]):
+        table = np.concatenate([np.stack(v, axis=-1).reshape(-1, len(v)) for v in corners])
+        out += [Simplex(tuple(v)) for v in sorted(table.tolist())]
     return out
 
 
@@ -206,10 +218,11 @@ def raw_weights(
     Vertices get 0, edges and triangles the weights of
     :func:`~topodist.alternating.edge_weight` and
     :func:`~topodist.alternating.triangle_weight`, computed from the same
-    formulas on plain arrays: each pair operator is formed once and reused by
-    every triangle on that edge.  Every edge of a triangle must be in the
-    skeleton.  Useful on its own for weight statistics; building a
-    filtration should go through :func:`assign_weights` instead.
+    formulas on plain arrays: each pair operator is formed once, keyed by its
+    edge's position, and every triangle finds its edges in the facet table
+    that :class:`WeightedComplex` also uses, so the skeleton must be closed.
+    Useful on its own for weight statistics; building a filtration should go
+    through :func:`assign_weights` instead.
 
     ``workers`` > 1 evaluates the triangles on that many threads; the result
     does not depend on it.  No library function passes it: it exists for the
@@ -220,52 +233,41 @@ def raw_weights(
     sizes = {k.size for k in operators}
     if len(sizes) != 1:
         raise ValueError(f"operators disagree on size: {sorted(sizes)}")
-    for s in skeleton:
-        if s.vertices[-1] >= n:
-            raise ValueError(
-                f"simplex {s.vertices} references vertex >= {n} (one operator per vertex)"
-            )
+    vertices, dims, facets = _facet_table(skeleton)
+    beyond = np.flatnonzero(vertices.max(axis=1) >= n)
+    if beyond.size:
+        v = skeleton[beyond[0]].vertices
+        raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
     k = [op.entries for op in operators]
+    rows, facet_rows = vertices.tolist(), facets.tolist()
     weights = np.zeros(len(skeleton))
-    pair_cache: dict[tuple[int, int], np.ndarray] = {}
-    for i, s in enumerate(skeleton):
-        if s.dimension == 1:
-            a, b = s.vertices
-            pair_cache[(a, b)] = _pair_entries(k[a], k[b])
-            try:
-                weights[i] = _inverse_centered_frobenius(pair_cache[(a, b)], "pair operator")
-            except ValueError as exc:
-                raise ValueError(f"edge {s.vertices}: {exc}") from exc
+    pairs: dict[int, np.ndarray] = {}
+    for i in np.flatnonzero(dims == 1).tolist():
+        a, b = rows[i][:2]
+        pairs[i] = _pair_entries(k[a], k[b])
+        try:
+            weights[i] = _inverse_centered_frobenius(pairs[i], "pair operator")
+        except ValueError as exc:
+            raise ValueError(f"edge {skeleton[i].vertices}: {exc}") from exc
 
-    triangle_ids = [i for i, s in enumerate(skeleton) if s.dimension == 2]
-    for i in triangle_ids:
-        a, b, c = skeleton[i].vertices
-        for edge in ((a, b), (a, c), (b, c)):
-            if edge not in pair_cache:
-                raise ValueError(f"triangle {skeleton[i].vertices} lacks edge {edge}")
-
-    def triangle(s: Simplex) -> float:
-        a, b, c = s.vertices
-        entries = _triple_entries(
-            k[a], k[b], k[c], pair_cache[(a, b)], pair_cache[(b, c)], pair_cache[(a, c)]
-        )
+    def triangle(i: int) -> float:
+        (a, b, c), (bc, ac, ab) = rows[i], facet_rows[i]
+        entries = _triple_entries(k[a], k[b], k[c], pairs[ab], pairs[bc], pairs[ac])
         try:
             return _inverse_centered_frobenius(entries, "triple operator")
         except ValueError as exc:
-            raise ValueError(f"triangle {s.vertices}: {exc}") from exc
+            raise ValueError(f"triangle {skeleton[i].vertices}: {exc}") from exc
 
+    triangle_ids = np.flatnonzero(dims == 2).tolist()
     if workers is not None and workers > 1 and triangle_ids:
         # matrix products release the GIL, so threads buy real parallelism;
         # results land by index, keeping the output order-independent
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, w in zip(
-                triangle_ids, pool.map(lambda i: triangle(skeleton[i]), triangle_ids)
-            ):
-                weights[i] = w
+            weights[triangle_ids] = list(pool.map(triangle, triangle_ids))
     else:
         for i in triangle_ids:
-            weights[i] = triangle(skeleton[i])
+            weights[i] = triangle(i)
     return weights
 
 
@@ -283,20 +285,17 @@ def assign_weights(
     making weight scales comparable across datasets with different
     observation counts (the order within one filtration is unchanged).
     """
-    skeleton = list(skeleton)
-    weights = raw_weights(skeleton, operators)
-    if normalize:
-        weights = _median_normalized(skeleton, weights)
-    return enforce_monotone(WeightedComplex(tuple(skeleton), weights))
+    skeleton = tuple(skeleton)
+    cx = WeightedComplex(skeleton, raw_weights(skeleton, operators))
+    return enforce_monotone(_median_normalized(cx) if normalize else cx)
 
 
-def _median_normalized(skeleton: Sequence[Simplex], weights: np.ndarray) -> np.ndarray:
-    """``weights`` divided by their median over the positive-dimension simplexes."""
-    positive_dim = np.array([s.dimension > 0 for s in skeleton])
-    med = float(np.median(weights[positive_dim]))
+def _median_normalized(cx: WeightedComplex) -> WeightedComplex:
+    """``cx`` with weights divided by their median over positive dimensions."""
+    med = float(np.median(cx.weights[cx.dims > 0]))
     if med <= 0.0:
         raise ValueError("median weight is not positive; cannot normalize")
-    return weights / med
+    return WeightedComplex(cx.simplexes, cx.weights / med)
 
 
 def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:

@@ -100,8 +100,8 @@ def median_scale(distances: np.ndarray, factor: float = 1.0) -> float:
     not enter it, so duplicates cannot pull the scale to zero; only a sample
     whose observations all coincide is rejected.
     """
-    if factor <= 0.0:
-        raise ValueError(f"factor must be > 0, got {factor}")
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"factor must be positive and finite, got {factor}")
     d = np.asarray(distances, dtype=np.float64)
     squared = d[np.triu_indices(d.shape[0], k=1)] ** 2
     positive = squared[squared > 0.0]

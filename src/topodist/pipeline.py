@@ -89,9 +89,21 @@ class PipelineConfig:
     weight_scheme: str = "alternating"
 
     def __post_init__(self) -> None:
-        if not self.kernel_epsilon_factor > 0.0:
+        # JSON config files can carry any type; a string "false" is truthy
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        for name in ("kernel_epsilon_factor", "p", "cap_value"):
+            value = getattr(self, name)
+            if name == "cap_value" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0.0 < self.kernel_epsilon_factor < np.inf:
             raise ValueError(
-                f"kernel_epsilon_factor must be positive, got {self.kernel_epsilon_factor}"
+                "kernel_epsilon_factor must be positive and finite, "
+                f"got {self.kernel_epsilon_factor}"
             )
         if self.skeleton not in _SKELETONS:
             raise ValueError(f"skeleton must be one of {_SKELETONS}, got {self.skeleton!r}")
@@ -199,9 +211,8 @@ def cross_correlation_complex(
             a, b, c = s.vertices
             total = edge_rho(a, b) ** 2 + edge_rho(b, c) ** 2 + edge_rho(a, c) ** 2
             weights[i] = 1.0 / np.sqrt(total)
-    if normalize:
-        weights = _median_normalized(skeleton, weights)
-    return enforce_monotone(WeightedComplex(tuple(skeleton), weights))
+    cx = WeightedComplex(tuple(skeleton), weights)
+    return enforce_monotone(_median_normalized(cx) if normalize else cx)
 
 
 def _default_labels(datasets: Sequence[Dataset]) -> tuple[str, ...]:

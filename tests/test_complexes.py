@@ -1,6 +1,8 @@
 """Tests for skeleton builders, weight assignment, and filtration ordering."""
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from topodist.complexes import (
     read_complex_csv,
     write_complex_csv,
 )
-from topodist.dataset import TorusSpec, generate_torus_dataset
+from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
 from topodist.diffusion import DiffusionOperator, sample_diffusion_operator
 from topodist.homology import boundary_matrix
 
@@ -416,3 +418,71 @@ def test_boundary_columns_match_simplex_facets(cx):
         for sid in order
     )
     assert boundary_matrix(cx, order).columns == expected
+
+
+# ---------------------------------------------------------------------------
+# one facet resolver behind WeightedComplex and raw_weights
+
+KINDS = ("vertex", "edge", "triangle")
+
+# one operator per possible vertex id of closed_complexes (0..50)
+RANDOM_OPS = [
+    sample_diffusion_operator(Sample(np.random.default_rng(i).normal(size=(5, 2))))
+    for i in range(51)
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_complexes(), st.data())
+def test_dropping_a_facet_names_the_first_coface(cx, data):
+    faces = sorted({f.vertices for s in cx.simplexes for f in s.facets()})
+    if not faces:
+        return
+    face = data.draw(st.sampled_from(faces))
+    kept = [s for s in cx.simplexes if s.vertices != face]
+    coface = next(s.vertices for s in kept if Simplex(face) in s.facets())
+    message = f"{KINDS[len(coface) - 1]} {coface} lacks {KINDS[len(face) - 1]} {face}"
+    with pytest.raises(ValueError) as raised:
+        WeightedComplex(tuple(kept), np.zeros(len(kept)))
+    assert str(raised.value) == f"complex not closed: {message}"
+    with pytest.raises(ValueError) as raised:
+        raw_weights(kept, RANDOM_OPS)
+    assert str(raised.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_complexes(), st.data())
+def test_duplicated_simplex_is_rejected(cx, data):
+    twin = data.draw(st.sampled_from(cx.simplexes))
+    doubled = (*cx.simplexes, twin)
+    with pytest.raises(ValueError, match="^duplicate simplexes$"):
+        WeightedComplex(doubled, np.append(cx.weights, 0.0 if twin.dimension == 0 else 0.1))
+    with pytest.raises(ValueError, match="^duplicate simplexes$"):
+        raw_weights(doubled, RANDOM_OPS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(closed_complexes(), st.data())
+def test_permuting_the_skeleton_permutes_raw_weights(cx, data):
+    perm = data.draw(st.permutations(range(cx.n_simplexes)))
+    weights = raw_weights(cx.simplexes, RANDOM_OPS)
+    permuted = raw_weights([cx.simplexes[i] for i in perm], RANDOM_OPS)
+    assert np.array_equal(permuted, weights[perm])
+
+
+@settings(max_examples=50, deadline=None)
+@given(closed_complexes())
+def test_csv_round_trip_resolves_ids_near_a_billion(cx):
+    # ids this large would overflow an int64 code of the raw ids
+    shift = 10**9
+    big = WeightedComplex(
+        tuple(Simplex(tuple(v + shift for v in s.vertices)) for s in cx.simplexes),
+        cx.weights,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        write_complex_csv(big, Path(tmp) / "complex.csv")
+        back = read_complex_csv(Path(tmp) / "complex.csv")
+    assert np.array_equal(back.vertices, np.where(cx.vertices >= 0, cx.vertices + shift, -1))
+    assert np.array_equal(back.dims, cx.dims)
+    assert np.array_equal(back.facets, cx.facets)
+    assert np.array_equal(back.weights, cx.weights)

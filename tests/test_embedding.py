@@ -120,6 +120,13 @@ def test_dimension_bounds_enforced():
         diffusion_maps(dm, d=6)
 
 
+@pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+def test_epsilon_factor_must_be_positive_and_finite(factor):
+    dm = random_distance_matrix(np.random.default_rng(313), 6)
+    with pytest.raises(ValueError, match="factor must be positive and finite"):
+        diffusion_maps(dm, epsilon_factor=factor)
+
+
 def test_zero_matrix_rejected():
     dm = DatasetDistanceMatrix(np.zeros((4, 4)), tuple("abcd"))
     with pytest.raises(ValueError, match="degenerate"):

@@ -26,7 +26,7 @@ from topodist.pipeline import (
     weight_profile,
     write_weight_profile_csv,
 )
-from topodist.complexes import complete_skeleton
+from topodist.complexes import complete_skeleton, read_complex_csv
 from topodist.wasserstein import DiagramDistanceSpec, wasserstein
 
 
@@ -73,6 +73,16 @@ class TestPipelineConfig:
             {"infinite_policy": "cap", "cap_value": float("inf")},
             {"infinite_policy": "cap", "cap_value": float("nan")},
             {"weight_scheme": "magic"},
+            {"normalize": "false"},
+            {"normalize": 1},
+            {"degree": True},
+            {"degree": 1.0},
+            {"kernel_epsilon_factor": "2"},
+            {"kernel_epsilon_factor": float("inf")},
+            {"kernel_epsilon_factor": float("nan")},
+            {"p": "2"},
+            {"p": True},
+            {"infinite_policy": "cap", "cap_value": "2"},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -189,6 +199,22 @@ class TestRunPipeline:
         matrix, diagrams = run_pipeline([dataset, datasets[1]], PipelineConfig())
         assert np.isfinite(matrix.entries).all()
         assert len(diagrams["dataset_0"][0].pairs) == 6
+
+    def test_mixed_feature_scales_within_a_sample(self, tmp_path):
+        # features six orders of magnitude apart inside every observation:
+        # the median kernel scale is set by the large ones alone
+        scale = np.array([1e3, 1e3, 1e-3, 1e-3, 1.0, 1.0])
+        datasets = []
+        for seed in (1, 2):
+            ds = generate_torus_dataset(dataclasses.replace(SPEC, tuple_size=3, seed=seed))
+            samples = tuple(Sample(s.observations * scale) for s in ds.samples)
+            datasets.append(Dataset(samples, ds.metadata))
+        matrix, _ = run_pipeline(datasets, PipelineConfig(), out_dir=tmp_path)
+        assert np.isfinite(matrix.entries).all()
+        for label in ("dataset_0", "dataset_1"):
+            cx = read_complex_csv(tmp_path / "complexes" / f"{label}.csv")
+            assert np.isfinite(cx.weights).all()
+            assert (cx.weights[cx.dims > 0] > 0.0).all()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), perm=st.permutations(range(8)))
@@ -346,6 +372,31 @@ class TestCli:
         ) == 0
         effective = json.loads((tmp_path / "run" / "config.json").read_text())
         assert (effective["degree"], effective["p"]) == (0, 3.0)
+
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ('{"normalize": "false"}', [], "normalize"),
+            ('{"kernel_epsilon_factor": "2"}', [], "kernel_epsilon_factor"),
+            ('{"p": "2"}', [], "p must"),
+            ("{}", ["--epsilon-factor", "inf"], "kernel_epsilon_factor"),
+        ],
+    )
+    def test_badly_typed_config_exits_2(self, tmp_path, capsys, config, flags, field):
+        (tmp_path / "config.json").write_text(config)
+        for seed, name in ((1, "a"), (2, "b")):
+            self.run(
+                "generate-sim", "--m", 3, "--n-samples", 4, "--n-observations", 12,
+                "--seed", seed, "--out", tmp_path / name,
+            )
+        capsys.readouterr()
+        assert self.run(
+            "pipeline", tmp_path / "a", tmp_path / "b", "--out", tmp_path / "run",
+            "--config", tmp_path / "config.json", *flags,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "run").exists()
 
     def test_errors_exit_nonzero(self, tmp_path, capsys):
         assert self.run("ph", "--complex", tmp_path / "missing.csv",

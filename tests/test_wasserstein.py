@@ -160,6 +160,18 @@ def test_metric_axioms_on_random_triples():
             assert wasserstein(dg, dg, SPEC2) == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(pts=st.lists(_POINTS, min_size=3, max_size=3), p=st.sampled_from([1.0, 2.0, 3.5]))
+def test_metric_axioms_on_drawn_diagrams(pts, p):
+    spec = DiagramDistanceSpec(p=p, degree=1)
+    a, b, c = (diagram(x) for x in pts)
+    ab = wasserstein(a, b, spec)
+    assert ab >= 0.0
+    assert abs(ab - wasserstein(b, a, spec)) <= 1e-9
+    assert wasserstein(a, a, spec) == 0.0
+    assert wasserstein(a, c, spec) <= ab + wasserstein(b, c, spec) + 1e-9
+
+
 def test_zero_iff_equal_multisets():
     # diagrams restricted to positive-persistence points
     a = diagram([(0.0, 1.0), (0.5, 1.5)])
