@@ -11,6 +11,14 @@ combined operator ``S`` after double centering, ``P S P`` with
 ``P = I - 1 1^T / L``, which removes exactly that part.  Its Frobenius norm
 is large when the samples share structure and small when they do not, so its
 inverse serves as a simplex weight: low weight = strong common structure.
+
+The functions here form ``S`` and center it, exactly as defined; they are
+the oracle for :func:`topodist.complexes.raw_weights`, which gets the same
+norms without forming ``S``.  Since ``K 1 = 1`` and ``P 1 = 0``, the
+pre-centered operator ``G = P K P`` of each sample factors every centered
+operator: ``P S_ab P = C_ab = G_a G_b^T + G_b G_a^T`` for a pair and
+``P S_abc P = Z + Z^T`` with ``Z = G_c C_ab + G_a C_bc + G_b C_ac`` for a
+triple, so ``||P S_abc P||_F^2 = 2 ||Z||_F^2 + 2 <Z, Z^T>``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from topodist.alternating import _inverse_centered_frobenius, _pair_entries, _triple_entries
+from topodist.alternating import _EPS
 from topodist.diffusion import DiffusionOperator
 
 __all__ = [
@@ -208,6 +209,23 @@ def grid_skeleton(rows: int, cols: int) -> list[Simplex]:
     return out
 
 
+_ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
+
+
+def _centered(k: np.ndarray) -> np.ndarray:
+    """``P K P``: ``k`` less its column means, then less its row means.
+
+    A result below the rounding level of ``k`` is noise and comes back as
+    exact zeros, so every simplex on a sample whose rows are all equal
+    meets the zero-matrix check of :func:`raw_weights`.
+    """
+    g = k - k.mean(axis=0)
+    g -= g.mean(axis=1, keepdims=True)
+    if math.sqrt(np.vdot(g, g)) <= k.shape[0] * _EPS * math.sqrt(np.vdot(k, k)):
+        g[:] = 0.0
+    return g
+
+
 def raw_weights(
     skeleton: Sequence[Simplex],
     operators: Sequence[DiffusionOperator],
@@ -217,12 +235,18 @@ def raw_weights(
 
     Vertices get 0, edges and triangles the weights of
     :func:`~topodist.alternating.edge_weight` and
-    :func:`~topodist.alternating.triangle_weight`, computed from the same
-    formulas on plain arrays: each pair operator is formed once, keyed by its
-    edge's position, and every triangle finds its edges in the facet table
-    that :class:`WeightedComplex` also uses, so the skeleton must be closed.
-    Useful on its own for weight statistics; building a filtration should go
-    through :func:`assign_weights` instead.
+    :func:`~topodist.alternating.triangle_weight`, which stay the
+    independent oracle for this function.  Here they come from pre-centered
+    operators ``G = P K P``, one per sample: ``K 1 = 1`` and ``P 1 = 0``
+    give ``P S_ab P = C_ab = G_a G_b^T + G_b G_a^T`` for an edge and
+    ``P S_abc P = Z + Z^T`` with ``Z = G_c C_ab + G_a C_bc + G_b C_ac`` for
+    a triangle, whose squared norm is ``2 ||Z||^2 + 2 <Z, Z^T>``.  So a
+    triangle costs three L x L products and no simplex is centered.  Each
+    ``C`` is formed once, keyed by its edge's position, and every triangle
+    finds its edges in the facet table that :class:`WeightedComplex` also
+    uses, so the skeleton must be closed.  Useful on its own for weight
+    statistics; building a filtration should go through
+    :func:`assign_weights` instead.
 
     ``workers`` > 1 evaluates the triangles on that many threads; the result
     does not depend on it.  No library function passes it: it exists for the
@@ -239,25 +263,32 @@ def raw_weights(
         v = skeleton[beyond[0]].vertices
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
-    k = [op.entries for op in operators]
+    g = [_centered(op.entries) for op in operators]
+    norms = [math.sqrt(np.vdot(x, x)) for x in g]
+    # a centered matrix is noise below this multiple of its factors' norms
+    tol = sizes.pop() * _EPS
     rows, facet_rows = vertices.tolist(), facets.tolist()
     weights = np.zeros(len(skeleton))
     pairs: dict[int, np.ndarray] = {}
     for i in np.flatnonzero(dims == 1).tolist():
         a, b = rows[i][:2]
-        pairs[i] = _pair_entries(k[a], k[b])
-        try:
-            weights[i] = _inverse_centered_frobenius(pairs[i], "pair operator")
-        except ValueError as exc:
-            raise ValueError(f"edge {skeleton[i].vertices}: {exc}") from exc
+        m = g[a] @ g[b].T
+        pairs[i] = m + m.T
+        norm = math.sqrt(np.vdot(pairs[i], pairs[i]))
+        if norm <= tol * norms[a] * norms[b]:
+            raise ValueError(f"edge {skeleton[i].vertices}: pair operator {_ZERO}")
+        weights[i] = 1.0 / norm
 
     def triangle(i: int) -> float:
         (a, b, c), (bc, ac, ab) = rows[i], facet_rows[i]
-        entries = _triple_entries(k[a], k[b], k[c], pairs[ab], pairs[bc], pairs[ac])
-        try:
-            return _inverse_centered_frobenius(entries, "triple operator")
-        except ValueError as exc:
-            raise ValueError(f"triangle {skeleton[i].vertices}: {exc}") from exc
+        # each face's C multiplies the opposite vertex's G
+        z = g[c] @ pairs[ab]
+        z += g[a] @ pairs[bc]
+        z += g[b] @ pairs[ac]
+        squared = 2.0 * (np.vdot(z, z) + np.einsum("ij,ji->", z, z))
+        if squared <= (tol * norms[a] * norms[b] * norms[c]) ** 2:
+            raise ValueError(f"triangle {skeleton[i].vertices}: triple operator {_ZERO}")
+        return 1.0 / math.sqrt(squared)
 
     triangle_ids = np.flatnonzero(dims == 2).tolist()
     if workers is not None and workers > 1 and triangle_ids:

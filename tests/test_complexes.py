@@ -179,10 +179,10 @@ def test_assign_weights_matches_scratch_recomputation():
 
     for s in cx.simplexes:
         if s.dimension == 1:
-            assert cx.weight_of(s.vertices) == raw[s.vertices]
+            assert cx.weight_of(s.vertices) == pytest.approx(raw[s.vertices], rel=1e-13)
         elif s.dimension == 2:
             expected = max(raw[s.vertices], *(raw[f.vertices] for f in s.facets()))
-            assert cx.weight_of(s.vertices) == expected
+            assert cx.weight_of(s.vertices) == pytest.approx(expected, rel=1e-13)
 
     again = assign_weights(complete_skeleton(5), ops)
     assert np.array_equal(cx.weights, again.weights)
@@ -225,6 +225,100 @@ def test_raw_weights_threads_match_serial():
     ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(6)
     assert np.array_equal(raw_weights(skeleton, ops, workers=2), raw_weights(skeleton, ops))
+
+
+@pytest.mark.parametrize("stationary", ["uniform", "random"])
+def test_constant_operator_gives_the_edge_error(stationary):
+    # every row equal to the stationary distribution pi: P K P = P 1 pi^T P
+    # = 0, so every edge on vertex 1 has a zero centered pair operator
+    size = 7
+    ops = [sample_diffusion_operator(Sample(np.random.default_rng(v).normal(size=(size, 2))))
+           for v in range(3)]
+    pi = np.full(size, 1.0 / size)
+    if stationary == "random":
+        pi = np.random.default_rng(41).random(size)
+        pi /= pi.sum()
+    ops[1] = DiffusionOperator(np.tile(pi, (size, 1)))
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\): .*zero matrix"):
+        raw_weights(complete_skeleton(3), ops)
+
+
+def test_independent_duplicate_groups_give_the_edge_error():
+    # groups {0,1,2,3},{4,5} and {0,1,4},{2,3,5} meet in proportion to their
+    # sizes, so the centered pair operator is zero; rounding leaves ~1e-18
+    rng = np.random.default_rng(43)
+    samples = [Sample(rng.normal(size=(2, 2))[rows])
+               for rows in ([0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1])]
+    ops = [sample_diffusion_operator(s) for s in samples]
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\): .*zero matrix"):
+        raw_weights(complete_skeleton(3), ops)
+
+
+def test_cyclic_permutations_give_the_triangle_error():
+    # on the centered plane the identity and the two 3-cycles act as I, R
+    # and R^-1 with I + R + R^-1 = 0: every C is -P, so Z = -(R^-1 + I + R) P
+    # vanishes up to rounding while no edge does
+    ops = [DiffusionOperator(np.eye(3)[list(p)]) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    with pytest.raises(ValueError, match=r"^triangle \(0, 1, 2\): .*zero matrix"):
+        raw_weights(complete_skeleton(3), ops)
+    edges = raw_weights(complete_skeleton(3)[:6], ops)
+    assert edges[3:] == pytest.approx([1.0 / np.sqrt(2.0)] * 3, rel=1e-15)
+
+
+def extended_precision_weights(ops: list[DiffusionOperator], skeleton: list[Simplex]) -> np.ndarray:
+    """``1 / ||P S P||_F`` per simplex from the operator formulas in ``np.longdouble``."""
+    k = [op.entries.astype(np.longdouble) for op in ops]
+    size = k[0].shape[0]
+    p = np.eye(size, dtype=np.longdouble) - 1 / np.longdouble(size)
+
+    def pair(a: int, b: int) -> np.ndarray:
+        return k[a] @ k[b].T + k[b] @ k[a].T
+
+    out = np.zeros(len(skeleton), dtype=np.longdouble)
+    for i, s in enumerate(skeleton):
+        if s.dimension == 1:
+            entries = pair(*s.vertices)
+        elif s.dimension == 2:
+            a, b, c = s.vertices
+            faces = ((pair(a, b), c), (pair(b, c), a), (pair(a, c), b))
+            entries = sum(f @ k[v].T + k[v] @ f for f, v in faces)
+        else:
+            continue
+        centered = p @ entries @ p
+        out[i] = 1 / np.sqrt(np.sum(centered * centered))
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no wider than float64 on this platform",
+)
+def test_raw_weights_against_extended_precision():
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=5, n_observations=40, r_max=3.0, sigma=0.1, seed=37)
+    )
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    skeleton = complete_skeleton(5)
+    want = extended_precision_weights(ops, skeleton)
+    operator_path = np.zeros(len(skeleton))
+    for i, s in enumerate(skeleton):
+        pairs = {f: pair_operator(ops[f[0]], ops[f[1]], pair=f)
+                 for f in itertools.combinations(s.vertices, 2)}
+        if s.dimension == 1:
+            operator_path[i] = edge_weight(pairs[s.vertices])
+        elif s.dimension == 2:
+            a, b, c = s.vertices
+            triple = triple_operator(ops[a], ops[b], ops[c],
+                                     pairs[(a, b)], pairs[(b, c)], pairs[(a, c)], triple=(a, b, c))
+            operator_path[i] = triangle_weight(triple)
+    positive = [s.dimension > 0 for s in skeleton]
+
+    def error(weights: np.ndarray) -> float:
+        return float(np.max(np.abs(weights[positive] - want[positive]) / want[positive]))
+
+    kernel_error = error(raw_weights(skeleton, ops))
+    assert kernel_error <= 1e-13
+    assert kernel_error <= error(operator_path)
 
 
 def test_triangle_without_an_edge_is_rejected():
