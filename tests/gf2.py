@@ -1,4 +1,7 @@
-"""GF(2) linear-algebra oracle for persistence tests.
+"""GF(2) linear-algebra oracles for persistence tests.
+
+:func:`standard_reduction` is the textbook left-to-right column reduction,
+the reference that ``reduce_matrix`` must equal exactly.
 
 Persistent Betti numbers are computed from matrix ranks alone (kernel of the
 degree-k boundary map intersected with the image of the degree-(k+1) map),
@@ -11,6 +14,7 @@ import math
 import numpy as np
 
 from topodist.complexes import WeightedComplex
+from topodist.homology import BoundaryMatrix, Reduction
 
 
 def gf2_rank(m: np.ndarray) -> int:
@@ -137,3 +141,36 @@ def diagram_oracle(cx: WeightedComplex, k: int) -> list[tuple[float, float]]:
         assert mult_inf >= 0
         points.extend([(values[i], math.inf)] * mult_inf)
     return sorted(points)
+
+
+def standard_reduction(m: BoundaryMatrix) -> Reduction:
+    """Left-to-right Z2 column reduction with lowest-one pairing.
+
+    Each column becomes a Python-int bitset (bit r set for row r) only when
+    the sweep reaches it, so its lowest row is ``bit_length() - 1`` and
+    column addition is XOR.  While that lowest row is owned by an earlier
+    reduced column, the owner is XORed in.  A column that ends up nonzero
+    pairs its lowest row (birth) with itself (death) and becomes that row's
+    owner.  Columns that reduce to zero and are never a lowest row are
+    essential births.
+    """
+    pivots: dict[int, int] = {}  # lowest row -> reduced column owning it
+    pairs_pos: list[tuple[int, int]] = []
+    cleared: list[int] = []
+    for j, rows in enumerate(m.columns):
+        col = sum(1 << r for r in rows)
+        while col:
+            low = col.bit_length() - 1
+            owner = pivots.get(low)
+            if owner is None:
+                pivots[low] = col
+                pairs_pos.append((low, j))
+                break
+            col ^= owner
+        else:  # reduced to zero
+            cleared.append(j)
+
+    return Reduction(
+        pairs=tuple((m.order[b], m.order[d]) for b, d in pairs_pos),
+        essential=tuple(m.order[j] for j in cleared if j not in pivots),
+    )

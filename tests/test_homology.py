@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gf2 import betti, diagram_oracle
+from gf2 import betti, diagram_oracle, standard_reduction
 from topodist.complexes import (
     Simplex,
     WeightedComplex,
@@ -14,10 +14,12 @@ from topodist.complexes import (
     complete_skeleton,
     enforce_monotone,
     filtration_order,
+    grid_skeleton,
 )
 from topodist.dataset import TorusSpec, generate_torus_dataset
 from topodist.diffusion import sample_diffusion_operator
 from topodist.homology import (
+    BoundaryMatrix,
     PersistenceDiagram,
     PersistencePair,
     boundary_matrix,
@@ -134,6 +136,39 @@ def test_boundary_rejects_non_permutation():
         boundary_matrix(cx, [0, 0, 1, 2, 3, 4])
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (((), (), (1, 0)), r"column 2 is not strictly increasing: \(1, 0\)"),
+        (((), (), (1, 1)), r"column 2 is not strictly increasing: \(1, 1\)"),
+        (((), (1,)), "column 1 references a row at or after itself"),
+        # the first offending column is named, whichever check it breaks
+        (((), (), (0, 3), (), (2, 1)), "column 2 references a row at or after"),
+        (((), (), (1, 0), (5,)), "column 2 is not strictly increasing"),
+    ],
+)
+def test_boundary_matrix_rejects_bad_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        BoundaryMatrix(columns, tuple(range(len(columns))))
+
+
+@pytest.mark.parametrize(
+    "columns, bad",
+    [
+        (((), (), (0, 1), (0,)), 3),  # a 1-row column
+        (((), (), (0, 1), (0, 2)), 3),  # an edge over an edge row
+        (((), (), (), (0, 1, 2)), 3),  # a triangle over vertex rows
+        (((), (), (0, 1), (), (0, 1, 2, 3)), 4),  # a 4-row column
+        # a triangle over a path of three edges, not over a triangle's boundary
+        (((), (), (), (), (0, 1), (1, 2), (2, 3), (4, 5, 6)), 7),
+    ],
+)
+def test_reduce_matrix_rejects_non_simplicial_columns(columns, bad):
+    m = BoundaryMatrix(columns, tuple(range(len(columns))))
+    with pytest.raises(ValueError, match=f"column {bad} "):
+        reduce_matrix(m)
+
+
 # ---------------------------------------------------------------------------
 # reduction and extraction on hand-checked complexes
 
@@ -242,6 +277,71 @@ def test_tied_complete_complexes_match_rank_oracle(cx):
     dgs = persistence_diagrams(cx)
     for k in (0, 1):
         assert dgs[k].points() == diagram_oracle(cx, k)
+
+
+@st.composite
+def partial_complexes(draw) -> WeightedComplex:
+    """Random closed 2-complex on 1-7 vertices, often disconnected.
+
+    When there are at least four vertices a hollow tetrahedron on 0..3 may
+    be included, which leaves an essential triangle.
+    """
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    hollow = n >= 4 and draw(st.booleans())
+    if hollow:
+        edges |= {(a, b) for a in range(4) for b in range(a + 1, 4)}
+    closed = [
+        (a, b, c)
+        for a, b in edges
+        for c in range(b + 1, n)
+        if (a, c) in edges and (b, c) in edges
+    ]
+    triangles = set(draw(st.lists(st.sampled_from(closed), unique=True))) if closed else set()
+    if hollow:
+        triangles |= {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
+    level = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
+    cx = make_complex(
+        {e: draw(level) for e in sorted(edges)}, {t: draw(level) for t in sorted(triangles)}, n
+    )
+    return enforce_monotone(cx)
+
+
+@st.composite
+def tied_grid_complexes(draw) -> WeightedComplex:
+    """Triangulated grid up to 4 x 5, edge/triangle weights from 3 values."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    skeleton = grid_skeleton(rows, cols)
+    level = st.sampled_from([0.25, 0.5, 0.75])
+    weights = [0.0 if s.dimension == 0 else draw(level) for s in skeleton]
+    return enforce_monotone(WeightedComplex(tuple(skeleton), np.array(weights)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tied_complete_complexes(), partial_complexes(), tied_grid_complexes()))
+def test_reduce_matrix_equals_standard_reduction(cx):
+    # exact, pair order included: diagrams and distances follow that order
+    m = boundary_matrix(cx, filtration_order(cx))
+    assert reduce_matrix(m) == standard_reduction(m)
+
+
+def test_reduction_needs_cohomology_column_additions():
+    # a square 0-1-2-3 with diagonal 0-2, filled by (0,2,3) before (0,1,2):
+    # (0,2) pairs apparently with (0,2,3), the oldest cofacet of (0,3) too,
+    # so the column of (0,3) must add the coboundary of (0,2) before it
+    # finds its own death (0,1,2)
+    cx = make_complex(
+        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 4.0, (0, 2): 5.0},
+        {(0, 2, 3): 6.0, (0, 1, 2): 7.0},
+        4,
+    )
+    m = boundary_matrix(cx, filtration_order(cx))
+    red = reduce_matrix(m)
+    assert red == standard_reduction(m)
+    edge, triangle = cx.position((0, 3)), cx.position((0, 1, 2))
+    assert (edge, triangle) in red.pairs
+    assert persistence_diagrams(cx)[1].points() == [(4.0, 7.0), (5.0, 6.0)]
 
 
 def test_betti_against_reduction_counts():
