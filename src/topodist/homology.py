@@ -159,6 +159,29 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
     return BoundaryMatrix(columns, tuple(order))
 
 
+def _check_simplicial(m: BoundaryMatrix, starts: np.ndarray) -> None:
+    """Raise unless every column is a vertex, an edge over two vertex
+    columns, or a triangle over the three edge columns of its boundary."""
+    lengths, rows = m.lengths, m.rows
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    # the row count each column's rows must have; -1 for a bad column
+    facet_len = np.select([lengths == 0, lengths == 2, lengths == 3], [0, 0, 2], -1)
+    row_ok = (rows >= 0) & (lengths[np.maximum(rows, 0)] == facet_len[owner])
+    bad = np.concatenate([np.flatnonzero(facet_len < 0)[:1], owner[~row_ok][:1]])
+    if not bad.size:
+        # a triangle's three edges bound it: each corner is on two of them
+        triangles = np.flatnonzero(lengths == 3)
+        edges = rows[starts[triangles, None] + [0, 1, 2]]
+        corners = np.sort(rows[starts[edges, None] + [0, 1]].reshape(-1, 6), axis=1)
+        bad = triangles[(corners[:, ::2] != corners[:, 1::2]).any(axis=1)][:1]
+    if bad.size:
+        j = int(bad.min())
+        raise ValueError(
+            f"column {j} {m.columns[j]} is not a vertex, an edge over two vertices "
+            "or a triangle over the three edges of its boundary"
+        )
+
+
 def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     """Persistence pairs of a filtration of dimension at most 2.
 
@@ -187,34 +210,16 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     Every simplex left unpaired is essential, triangles included.
     """
     lengths, rows = m.lengths, m.rows
-    n = len(lengths)
     starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(n), lengths)
-    # the row count each column's rows must have; -1 for a bad column
-    facet_len = np.select([lengths == 0, lengths == 2, lengths == 3], [0, 0, 2], -1)
-    row_ok = (rows >= 0) & (lengths[np.maximum(rows, 0)] == facet_len[owner])
-    bad = np.concatenate([np.flatnonzero(facet_len < 0)[:1], owner[~row_ok][:1]])
-    triangles = np.flatnonzero(lengths == 3)
-    facets = rows[starts[triangles, None] + [0, 1, 2]]
-    if not bad.size:
-        # a triangle's three edges bound it: each corner is on two of them
-        corners = np.sort(rows[starts[facets, None] + [0, 1]].reshape(-1, 6), axis=1)
-        bad = triangles[(corners[:, ::2] != corners[:, 1::2]).any(axis=1)][:1]
-    if bad.size:
-        j = int(bad.min())
-        raise ValueError(
-            f"column {j} {m.columns[j]} is not a vertex, an edge over two vertices "
-            "or a triangle over the three edges of its boundary"
-        )
+    _check_simplicial(m, starts)
 
     # degree 0: union-find, each root the oldest vertex of its tree
-    edges = np.flatnonzero(lengths == 2)
-    parent = list(range(n))
+    parent = {v: v for v in np.flatnonzero(lengths == 0).tolist()}
     births: list[int] = []
     deaths: list[int] = []
     cycles: list[int] = []
-    ends = rows[starts[edges, None] + [0, 1]].tolist()
-    for e, (a, b) in zip(edges.tolist(), ends):
+    edges = np.flatnonzero(lengths == 2)
+    for e, (a, b) in zip(edges.tolist(), rows[starts[edges, None] + [0, 1]].tolist()):
         while a != parent[a]:
             parent[a] = a = parent[parent[a]]
         while b != parent[b]:
@@ -228,9 +233,12 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
             deaths.append(e)
 
     # cofacets of each edge, oldest first, as triangle ranks
+    triangles = np.flatnonzero(lengths == 3)
+    facets = rows[starts[triangles, None] + [0, 1, 2]]
     by_edge = np.argsort(facets, axis=None, kind="stable")
-    cofacets = by_edge // 3
-    first = np.searchsorted(facets.ravel()[by_edge], np.arange(n + 1))
+    first = np.searchsorted(facets.ravel()[by_edge], np.arange(len(lengths) + 1))
+    cofacets = (by_edge // 3).astype(np.int32)
+    del by_edge  # the temporaries go before the reduction, to keep peak memory low
 
     # apparent pairs: the triangle is the oldest cofacet of its youngest edge
     youngest = facets[:, 2]
@@ -238,6 +246,8 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
     apparent_edge = dict(zip(apparent.tolist(), youngest[apparent].tolist()))
     births += youngest[apparent].tolist()
     deaths += triangles[apparent].tolist()
+    left = np.setdiff1d(cycles, youngest[apparent])
+    del facets, youngest, apparent
 
     def coboundary(e: int) -> int:
         bits = np.zeros(len(triangles), dtype=bool)
@@ -246,28 +256,27 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
 
     # cohomology of the degree-1 births left, youngest edge first
     pivots: dict[int, int] = {}  # oldest cofacet -> reduced coboundary owning it
-    for e in np.setdiff1d(cycles, youngest[apparent])[::-1].tolist():
+    for e in left[::-1].tolist():
         col = coboundary(e)
         while col:
             low = (col & -col).bit_length() - 1
-            owner_col = pivots.get(low)
-            if owner_col is None and low in apparent_edge:
-                owner_col = pivots[low] = coboundary(apparent_edge[low])
-            if owner_col is None:
+            owner = pivots.get(low)
+            if owner is None and low in apparent_edge:
+                owner = pivots[low] = coboundary(apparent_edge[low])
+            if owner is None:
                 pivots[low] = col
                 births.append(e)
                 deaths.append(int(triangles[low]))
                 break
-            col ^= owner_col
+            col ^= owner
 
-    births_a, deaths_a = np.array(births, dtype=np.int64), np.array(deaths, dtype=np.int64)
-    by_death = np.argsort(deaths_a)
-    unpaired = np.ones(n, dtype=bool)
-    unpaired[births_a] = unpaired[deaths_a] = False
-    order = np.array(m.order, dtype=np.int64)
+    by_death = np.argsort(deaths)
+    unpaired = np.ones(len(lengths), dtype=bool)
+    unpaired[births] = unpaired[deaths] = False
+    ids = m.order.__getitem__  # the order's own ints, not fresh copies
     return Reduction(
-        pairs=tuple(zip(order[births_a[by_death]].tolist(), order[deaths_a[by_death]].tolist())),
-        essential=tuple(order[unpaired].tolist()),
+        pairs=tuple((ids(births[i]), ids(deaths[i])) for i in by_death.tolist()),
+        essential=tuple(itertools.compress(m.order, unpaired.tolist())),
     )
 
 
