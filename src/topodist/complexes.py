@@ -226,6 +226,46 @@ def _centered(k: np.ndarray) -> np.ndarray:
     return g
 
 
+def _triangle_groups(
+    vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Edges and triangles of a facet table in canonical order, and the groups.
+
+    Returns the positions of the edges and of the triangles in lexicographic
+    vertex order, and one ``(lo, hi, a, b, ab, c, bc, ac)`` per run
+    ``triangles[lo:hi]`` sharing a first edge: vertices ``a``, ``b`` and the
+    rank ``ab`` of that edge among ``edges`` are fixed, while the run's
+    vertices ``c`` and edge ranks ``bc`` and ``ac`` come as a slice where
+    they are consecutive, as in a complete skeleton, and as an array of them
+    elsewhere.
+    """
+    canonical = np.lexsort((vertices[:, 2], vertices[:, 1], vertices[:, 0], dims))
+    edges = canonical[dims[canonical] == 1]
+    triangles = canonical[dims[canonical] == 2]
+    rank = np.empty(len(dims), dtype=np.intp)
+    rank[edges] = np.arange(len(edges))
+    a, b, c = vertices[triangles].T
+    bc, ac, ab = rank[facets[triangles]].T
+    bounds = np.flatnonzero(np.diff(ab, prepend=-1, append=-1))
+    starts, ends = bounds[:-1], bounds[1:]
+
+    def stacked(ids: np.ndarray) -> list[slice | np.ndarray]:
+        # ids rise within a run, so they are consecutive when the ends are
+        return [
+            slice(first, last + 1) if last - first == hi - lo - 1 else ids[lo:hi]
+            for first, last, lo, hi in zip(
+                ids[starts].tolist(), ids[ends - 1].tolist(), starts.tolist(), ends.tolist()
+            )
+        ]
+
+    groups = zip(
+        starts.tolist(), ends.tolist(),
+        *(x[starts].tolist() for x in (a, b, ab)),
+        *(stacked(x) for x in (c, bc, ac)),
+    )
+    return edges, triangles, list(groups)
+
+
 def raw_weights(
     skeleton: Sequence[Simplex],
     operators: Sequence[DiffusionOperator],
@@ -241,21 +281,31 @@ def raw_weights(
     give ``P S_ab P = C_ab = G_a G_b^T + G_b G_a^T`` for an edge and
     ``P S_abc P = Z + Z^T`` with ``Z = G_c C_ab + G_a C_bc + G_b C_ac`` for
     a triangle, whose squared norm is ``2 ||Z||^2 + 2 <Z, Z^T>``.  So a
-    triangle costs three L x L products and no simplex is centered.  Each
-    ``C`` is formed once, keyed by its edge's position, and every triangle
-    finds its edges in the facet table that :class:`WeightedComplex` also
-    uses, so the skeleton must be closed.  Useful on its own for weight
+    triangle costs three L x L products and no simplex is centered.  Every
+    triangle finds its edges in the facet table that :class:`WeightedComplex`
+    also uses, so the skeleton must be closed.  Useful on its own for weight
     statistics; building a filtration should go through
     :func:`assign_weights` instead.
 
-    ``workers`` > 1 evaluates the triangles on that many threads; the result
-    does not depend on it.  No library function passes it: it exists for the
-    benchmark's threading probe, which has not shown it faster than the
-    serial loop.
+    Edges and triangles are taken in canonical (lexicographic vertex) order,
+    whatever the order of the skeleton, and the triangles sharing a first
+    edge ``ab`` are weighed together: their ``G_c``, ``C_bc`` and ``C_ac``
+    are stacked against the fixed ``C_ab``, ``G_a`` and ``G_b`` in three
+    stacked matrix products.  Stacks are views where their ids run
+    consecutively, as in :func:`complete_skeleton`, and gathered copies
+    elsewhere.  Memory held: the ``n L^2`` operator stack, the ``E L^2``
+    pair stack for ``E`` edges, and ``3 k L^2`` temporaries for a group of
+    ``k`` triangles.  When several simplexes have a zero centered operator,
+    the error names the first of them in skeleton order.
+
+    ``workers`` > 1 weighs the groups on that many threads; the result does
+    not depend on it.  No library function passes it: it exists for the
+    benchmark's threading probe, which has not shown it faster than serial
+    on two cores.
     """
     n = len(operators)
     sizes = {k.size for k in operators}
-    if len(sizes) != 1:
+    if len(sizes) > 1:
         raise ValueError(f"operators disagree on size: {sorted(sizes)}")
     vertices, dims, facets = _facet_table(skeleton)
     beyond = np.flatnonzero(vertices.max(axis=1) >= n)
@@ -263,42 +313,52 @@ def raw_weights(
         v = skeleton[beyond[0]].vertices
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
-    g = [_centered(op.entries) for op in operators]
-    norms = [math.sqrt(np.vdot(x, x)) for x in g]
+    size = sizes.pop() if sizes else 0
+    g = np.empty((n, size, size))
+    for v, op in enumerate(operators):
+        g[v] = _centered(op.entries)
+    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
     # a centered matrix is noise below this multiple of its factors' norms
-    tol = sizes.pop() * _EPS
-    rows, facet_rows = vertices.tolist(), facets.tolist()
+    tol = size * _EPS
     weights = np.zeros(len(skeleton))
-    pairs: dict[int, np.ndarray] = {}
-    for i in np.flatnonzero(dims == 1).tolist():
-        a, b = rows[i][:2]
-        m = g[a] @ g[b].T
-        pairs[i] = m + m.T
-        norm = math.sqrt(np.vdot(pairs[i], pairs[i]))
-        if norm <= tol * norms[a] * norms[b]:
-            raise ValueError(f"edge {skeleton[i].vertices}: pair operator {_ZERO}")
-        weights[i] = 1.0 / norm
 
-    def triangle(i: int) -> float:
-        (a, b, c), (bc, ac, ab) = rows[i], facet_rows[i]
+    def guard(ids: np.ndarray, zero: np.ndarray, kind: str, operator: str) -> None:
+        if zero.any():
+            first = skeleton[ids[zero].min()].vertices
+            raise ValueError(f"{kind} {first}: {operator} operator {_ZERO}")
+
+    edges, triangles, groups = _triangle_groups(vertices, dims, facets)
+    pairs = np.empty((len(edges), size, size))
+    edge_norms = np.empty(len(edges))
+    a, b = vertices[edges, :2].T
+    for e, (u, v) in enumerate(zip(a.tolist(), b.tolist())):
+        m = g[u] @ g[v].T
+        np.add(m, m.T, out=pairs[e])
+        edge_norms[e] = math.sqrt(np.vdot(pairs[e], pairs[e]))
+    guard(edges, edge_norms <= tol * norms[a] * norms[b], "edge", "pair")
+    weights[edges] = 1.0 / edge_norms
+
+    squared = np.empty(len(triangles))
+
+    def weigh(lo: int, hi: int, a: int, b: int, ab: int, c, bc, ac) -> None:
         # each face's C multiplies the opposite vertex's G
-        z = g[c] @ pairs[ab]
-        z += g[a] @ pairs[bc]
-        z += g[b] @ pairs[ac]
-        squared = 2.0 * (np.vdot(z, z) + np.einsum("ij,ji->", z, z))
-        if squared <= (tol * norms[a] * norms[b] * norms[c]) ** 2:
-            raise ValueError(f"triangle {skeleton[i].vertices}: triple operator {_ZERO}")
-        return 1.0 / math.sqrt(squared)
+        z = np.matmul(g[c], pairs[ab])
+        z += np.matmul(g[a], pairs[bc])
+        z += np.matmul(g[b], pairs[ac])
+        squared[lo:hi] = np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z)
 
-    triangle_ids = np.flatnonzero(dims == 2).tolist()
-    if workers is not None and workers > 1 and triangle_ids:
+    if workers is not None and workers > 1 and groups:
         # matrix products release the GIL, so threads buy real parallelism;
-        # results land by index, keeping the output order-independent
+        # each group writes its own slice, keeping the output order-independent
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            weights[triangle_ids] = list(pool.map(triangle, triangle_ids))
+            list(pool.map(lambda group: weigh(*group), groups))
     else:
-        for i in triangle_ids:
-            weights[i] = triangle(i)
+        for group in groups:
+            weigh(*group)
+    a, b, c = vertices[triangles].T
+    squared *= 2.0
+    guard(triangles, squared <= (tol * norms[a] * norms[b] * norms[c]) ** 2, "triangle", "triple")
+    weights[triangles] = 1.0 / np.sqrt(squared)
     return weights
 
 

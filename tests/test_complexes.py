@@ -12,6 +12,7 @@ from topodist.alternating import edge_weight, pair_operator, triangle_weight, tr
 from topodist.complexes import (
     Simplex,
     WeightedComplex,
+    _triangle_groups,
     assign_weights,
     complete_skeleton,
     enforce_monotone,
@@ -580,3 +581,109 @@ def test_csv_round_trip_resolves_ids_near_a_billion(cx):
     assert np.array_equal(back.dims, cx.dims)
     assert np.array_equal(back.facets, cx.facets)
     assert np.array_equal(back.weights, cx.weights)
+
+
+# ---------------------------------------------------------------------------
+# stacked triangle kernel against the per-simplex operator oracle
+
+
+def operator_oracle(skeleton, ops) -> np.ndarray:
+    """Per simplex ``edge_weight`` / ``triangle_weight`` from the operator objects."""
+    pairs = {}
+
+    def pair(a: int, b: int):
+        if (a, b) not in pairs:
+            pairs[(a, b)] = pair_operator(ops[a], ops[b], pair=(a, b))
+        return pairs[(a, b)]
+
+    out = np.zeros(len(skeleton))
+    for i, s in enumerate(skeleton):
+        if s.dimension == 1:
+            out[i] = edge_weight(pair(*s.vertices))
+        elif s.dimension == 2:
+            a, b, c = s.vertices
+            out[i] = triangle_weight(triple_operator(
+                ops[a], ops[b], ops[c], pair(a, b), pair(b, c), pair(a, c), triple=(a, b, c),
+            ))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_complexes())
+def test_raw_weights_match_the_operator_oracle(cx):
+    # sparse ids, shuffled, partial skeletons: stacks are gathered and slots
+    # land away from their canonical positions
+    want = operator_oracle(cx.simplexes, RANDOM_OPS)
+    got = raw_weights(cx.simplexes, RANDOM_OPS)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_raw_weights_in_full_groups_with_an_odd_operator_size():
+    # nine vertices: groups of up to seven triangles; L = 25 leaves the
+    # stacked matrices off 64-byte boundaries
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=9, n_observations=25, r_max=3.0, sigma=0.1, seed=67)
+    )
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    skeleton = complete_skeleton(9)
+    weights = raw_weights(skeleton, ops)
+    assert weights == pytest.approx(operator_oracle(skeleton, ops), rel=1e-13)
+    perm = np.random.default_rng(71).permutation(len(skeleton))
+    permuted = raw_weights([skeleton[i] for i in perm], ops)
+    assert np.array_equal(permuted, weights[perm])
+
+
+def test_a_shuffled_complete_skeleton_gives_one_view_per_first_edge():
+    # canonical order makes every stack of a complete skeleton a view,
+    # whatever the skeleton's own order
+    n = 8
+    skeleton = complete_skeleton(n)
+    shuffled = [skeleton[i] for i in np.random.default_rng(73).permutation(len(skeleton))]
+    cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
+    edges, triangles, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
+    edge_list = list(itertools.combinations(range(n), 2))
+    assert [shuffled[i].vertices for i in edges] == edge_list
+    assert [shuffled[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
+    assert [(a, b) for _, _, a, b, *_ in groups] == list(itertools.combinations(range(n - 1), 2))
+    for lo, hi, a, b, ab, c, bc, ac in groups:
+        assert all(isinstance(run, slice) for run in (c, bc, ac))
+        assert [shuffled[i].vertices for i in triangles[lo:hi]] == [
+            (a, b, v) for v in range(n)[c]
+        ]
+        assert edge_list[ab] == (a, b)
+        assert edge_list[bc] == [(b, v) for v in range(b + 1, n)]
+        assert edge_list[ac] == [(a, v) for v in range(b + 1, n)]
+
+
+def test_the_edge_error_names_the_first_zero_edge_in_skeleton_order():
+    size = 7
+    ops = [sample_diffusion_operator(Sample(np.random.default_rng(v).normal(size=(size, 2))))
+           for v in range(3)]
+    ops[1] = DiffusionOperator(np.full((size, size), 1.0 / size))
+    # (0, 1) and (1, 2) are both zero; (1, 2) is listed first
+    skeleton = [Simplex((v,)) for v in range(3)]
+    skeleton += [Simplex((1, 2)), Simplex((0, 2)), Simplex((0, 1))]
+    with pytest.raises(ValueError, match=r"^edge \(1, 2\): .*zero matrix"):
+        raw_weights(skeleton, ops)
+
+
+def test_the_triangle_error_names_the_first_zero_triangle_in_skeleton_order():
+    # I, R, R^-1 twice: (0, 1, 2) and (3, 4, 5) both vanish, as in
+    # test_cyclic_permutations_give_the_triangle_error; (3, 4, 5) is listed first
+    cycles = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ops = [DiffusionOperator(np.eye(3)[list(p)]) for p in cycles * 2]
+    skeleton = [s for s in complete_skeleton(6) if s.dimension < 2]
+    skeleton += [Simplex((3, 4, 5)), Simplex((0, 1, 2))]
+    with pytest.raises(ValueError, match=r"^triangle \(3, 4, 5\): .*zero matrix"):
+        raw_weights(skeleton, ops)
+
+
+def test_no_operators():
+    assert raw_weights([], []).shape == (0,)
+    assert assign_weights([], []).n_simplexes == 0
+    message = r"^simplex \(0,\) references vertex >= 0 \(one operator per vertex\)$"
+    with pytest.raises(ValueError, match=message):
+        raw_weights([Simplex((0,))], [])
+    with pytest.raises(ValueError, match=message):
+        assign_weights([Simplex((0,))], [])
