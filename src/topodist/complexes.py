@@ -229,37 +229,36 @@ def _centered(k: np.ndarray) -> np.ndarray:
 def _triangle_groups(
     vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Edges and triangles of a facet table in canonical order, and the groups.
+    """Edges and triangles of a facet table, and the groups of triangles.
 
-    Returns the positions of the edges and of the triangles in lexicographic
-    vertex order, and one ``(lo, hi, a, b, ab, c, bc, ac)`` per run
+    Returns the positions of the edges and of the triangles in skeleton
+    order, and one ``(lo, hi, a, b, ab, c, bc, ac)`` per run
     ``triangles[lo:hi]`` sharing a first edge: vertices ``a``, ``b`` and the
     rank ``ab`` of that edge among ``edges`` are fixed, while the run's
     vertices ``c`` and edge ranks ``bc`` and ``ac`` come as a slice where
-    they are consecutive, as in a complete skeleton, and as an array of them
-    elsewhere.
+    each is one more than the one before it, as in a complete skeleton, and
+    as an array of them elsewhere.
     """
-    canonical = np.lexsort((vertices[:, 2], vertices[:, 1], vertices[:, 0], dims))
-    edges = canonical[dims[canonical] == 1]
-    triangles = canonical[dims[canonical] == 2]
+    edges = np.flatnonzero(dims == 1)
+    triangles = np.flatnonzero(dims == 2)
     rank = np.empty(len(dims), dtype=np.intp)
     rank[edges] = np.arange(len(edges))
     a, b, c = vertices[triangles].T
     bc, ac, ab = rank[facets[triangles]].T
     bounds = np.flatnonzero(np.diff(ab, prepend=-1, append=-1))
-    starts, ends = bounds[:-1], bounds[1:]
+    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
 
     def stacked(ids: np.ndarray) -> list[slice | np.ndarray]:
-        # ids rise within a run, so they are consecutive when the ends are
+        # steps[i] counts the places before i where an id is not one more
+        # than the one before it; a run without such a place is a slice
+        steps = np.concatenate(([0], np.cumsum(np.diff(ids) != 1))).tolist()
         return [
-            slice(first, last + 1) if last - first == hi - lo - 1 else ids[lo:hi]
-            for first, last, lo, hi in zip(
-                ids[starts].tolist(), ids[ends - 1].tolist(), starts.tolist(), ends.tolist()
-            )
+            slice(first, first + hi - lo) if steps[hi - 1] == steps[lo] else ids[lo:hi]
+            for first, lo, hi in zip(ids[starts].tolist(), starts, ends)
         ]
 
     groups = zip(
-        starts.tolist(), ends.tolist(),
+        starts, ends,
         *(x[starts].tolist() for x in (a, b, ab)),
         *(stacked(x) for x in (c, bc, ac)),
     )
@@ -287,18 +286,20 @@ def raw_weights(
     statistics; building a filtration should go through
     :func:`assign_weights` instead.
 
-    Edges and triangles are taken in canonical (lexicographic vertex) order,
-    whatever the order of the skeleton, and the triangles sharing a first
-    edge ``ab`` are weighed together: their ``G_c``, ``C_bc`` and ``C_ac``
-    are stacked against the fixed ``C_ab``, ``G_a`` and ``G_b`` in three
-    stacked matrix products.  Stacks are views where their ids run
-    consecutively, as in :func:`complete_skeleton`, and gathered copies
-    elsewhere.  Memory held: the ``n L^2`` operator stack, the ``E L^2``
-    pair stack for ``E`` edges, and ``3 k L^2`` temporaries for a group of
-    ``k`` triangles.  When several simplexes have a zero centered operator,
-    the error names the first of them in skeleton order.
+    Each run of triangles that are listed one after another and share a
+    first edge ``ab`` is weighed together: their ``G_c``, ``C_bc`` and
+    ``C_ac`` are stacked against the fixed ``C_ab``, ``G_a`` and ``G_b`` in
+    three stacked matrix products.  Stacks are views where their ids run
+    consecutively, which holds for every run of a skeleton in canonical
+    (lexicographic vertex) order, as :func:`complete_skeleton` and
+    :func:`grid_skeleton` give it, and gathered copies elsewhere.  Memory
+    held: the ``n L^2`` operator stack, the ``E L^2`` pair stack for ``E``
+    edges, and ``3 k L^2`` temporaries for a run of ``k`` triangles, or
+    ``6 k L^2`` when its three operand stacks are gathered.  When several
+    simplexes have a zero centered operator, the error names the first of
+    them in skeleton order.
 
-    ``workers`` > 1 weighs the groups on that many threads; the result does
+    ``workers`` > 1 weighs the runs on that many threads; the result does
     not depend on it.  No library function passes it: it exists for the
     benchmark's threading probe, which has not shown it faster than serial
     on two cores.

@@ -634,26 +634,48 @@ def test_raw_weights_in_full_groups_with_an_odd_operator_size():
     assert np.array_equal(permuted, weights[perm])
 
 
-def test_a_shuffled_complete_skeleton_gives_one_view_per_first_edge():
-    # canonical order makes every stack of a complete skeleton a view,
-    # whatever the skeleton's own order
+def test_a_complete_skeleton_gives_one_view_per_first_edge():
+    # canonical order makes every stack of a complete skeleton a view
     n = 8
     skeleton = complete_skeleton(n)
-    shuffled = [skeleton[i] for i in np.random.default_rng(73).permutation(len(skeleton))]
-    cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
+    cx = WeightedComplex(tuple(skeleton), np.zeros(len(skeleton)))
     edges, triangles, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
     edge_list = list(itertools.combinations(range(n), 2))
-    assert [shuffled[i].vertices for i in edges] == edge_list
-    assert [shuffled[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
+    assert [skeleton[i].vertices for i in edges] == edge_list
+    assert [skeleton[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
     assert [(a, b) for _, _, a, b, *_ in groups] == list(itertools.combinations(range(n - 1), 2))
     for lo, hi, a, b, ab, c, bc, ac in groups:
         assert all(isinstance(run, slice) for run in (c, bc, ac))
-        assert [shuffled[i].vertices for i in triangles[lo:hi]] == [
+        assert [skeleton[i].vertices for i in triangles[lo:hi]] == [
             (a, b, v) for v in range(n)[c]
         ]
         assert edge_list[ab] == (a, b)
         assert edge_list[bc] == [(b, v) for v in range(b + 1, n)]
         assert edge_list[ac] == [(a, v) for v in range(b + 1, n)]
+
+
+def test_a_run_out_of_order_is_gathered():
+    # the triangles on (0, 1) listed with c = 2, 4, 3, 5: the ends of the run
+    # are as far apart as in a consecutive one, but its middle is not
+    n = 6
+    skeleton = complete_skeleton(n)
+    first_edge = {v: s for s in skeleton if s.dimension == 2 and s.vertices[:2] == (0, 1)
+                  for v in s.vertices[2:]}
+    rest = [s for s in skeleton if s.dimension < 2 or s.vertices[:2] != (0, 1)]
+    shuffled = rest[:-1] + [first_edge[v] for v in (2, 4, 3, 5)] + rest[-1:]
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=n, n_observations=12, r_max=3.0, sigma=0.1, seed=79)
+    )
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    weights = raw_weights(shuffled, ops)
+    assert weights == pytest.approx(operator_oracle(shuffled, ops), rel=1e-13)
+    by_simplex = dict(zip(skeleton, raw_weights(skeleton, ops)))
+    assert np.array_equal(weights, [by_simplex[s] for s in shuffled])
+    cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
+    _, _, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
+    (_, _, _, _, _, c, bc, ac), = [g for g in groups if g[2:4] == (0, 1)]
+    assert c.tolist() == [2, 4, 3, 5]
+    assert not any(isinstance(run, slice) for run in (bc, ac))
 
 
 def test_the_edge_error_names_the_first_zero_edge_in_skeleton_order():
