@@ -20,6 +20,7 @@ from topodist.alternating import (
 )
 from topodist.complexes import (
     Simplex,
+    Skeleton,
     WeightedComplex,
     assign_weights,
     complete_skeleton,
@@ -105,6 +106,7 @@ __all__ = [
     "Reduction",
     "Sample",
     "Simplex",
+    "Skeleton",
     "TorusSpec",
     "TripleOperator",
     "WeightedComplex",

@@ -8,14 +8,14 @@ max-propagation pass, since a filtration requires it and the raw weights do
 not satisfy it: on simulated torus datasets half or more of the raw triangle
 weights lie below the largest weight of their edges.
 
-Facets are resolved by one function, :func:`_facet_table`, into the flat
-tables that :class:`WeightedComplex` stores and :func:`raw_weights` reads.
+A complex is held as the tables of a :class:`Skeleton`, one row per
+simplex, from the skeleton builders to the CSV file; :class:`Simplex`
+objects are built only when an element is read.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ from topodist.diffusion import DiffusionOperator
 
 __all__ = [
     "Simplex",
+    "Skeleton",
     "WeightedComplex",
     "complete_skeleton",
     "grid_skeleton",
@@ -73,84 +74,116 @@ class Simplex:
 
 
 class _MissingFacet(ValueError):
-    """A simplex whose facet is not in the sequence being resolved."""
+    """A simplex whose facet is not in the table being resolved."""
 
 
-def _facet_table(simplexes: Sequence[Simplex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(vertices, dims, facets)`` tables of :class:`WeightedComplex`.
+class Skeleton(Sequence[Simplex]):
+    """Vertices, edges and triangles held as read-only tables, one row each.
 
-    Vertex ids are replaced by their ranks (the padding -1 ranks 0), so each
-    row encodes as one int64 in base (max rank + 1) however large the ids
-    are, for up to 2**21 - 1 distinct ids; facets are then found by binary
-    search in the sorted codes.  Rejects duplicates and names the first
-    simplex that lacks a facet.
+    The tables are ``vertices`` (N x 3 ids padded with -1), ``dims`` (N)
+    and ``facets`` (N x 3 facet positions, slot j dropping vertex j as in
+    :meth:`Simplex.facets`, -1 in unused slots).  Construction resolves a
+    vertex table once.  Vertex ids are replaced by their ranks (the padding
+    -1 ranks 0), so each row encodes as one int64 in base (max rank + 1)
+    however large the ids are, for up to 2**21 - 1 distinct ids; facets are
+    then found by binary search in the sorted codes.  Rejects rows that are
+    not increasing ids >= 0 then padding, and duplicates, and names the
+    first simplex that lacks a facet.  Indexing, slicing and iteration give
+    :class:`Simplex` objects, built on the first such access.
     """
-    vertices = np.array(
-        [s.vertices + (-1,) * (3 - len(s.vertices)) for s in simplexes], dtype=np.intp
-    ).reshape(-1, 3)
-    dims = (vertices >= 0).sum(axis=1) - 1
-    ranks = np.searchsorted(np.union1d(vertices, -1), vertices)
-    base = ranks.max(initial=0) + 1
-    if base > 2**21:
-        raise ValueError(f"{base - 1} distinct vertex ids overflow the int64 simplex codes")
-    codes = ranks @ [base**2, base, 1]
-    order = np.argsort(codes)
-    if (np.diff(codes[order]) == 0).any():
-        raise ValueError("duplicate simplexes")
-    faces = ranks[:, [[1, 2], [0, 2], [0, 1]]] @ [base**2, base]
-    at = order[np.minimum(np.searchsorted(codes, faces, sorter=order), len(codes) - 1)]
-    used = (np.arange(3) <= dims[:, None]) & (dims[:, None] > 0)
-    missing = np.argwhere(used & (codes[at] != faces))
-    if missing.size:
-        i, j = missing[0]
-        v, kinds = simplexes[i].vertices, ("vertex", "edge", "triangle")
-        face = v[:j] + v[j + 1 :]
-        raise _MissingFacet(f"{kinds[len(v) - 1]} {v} lacks {kinds[len(face) - 1]} {face}")
-    return vertices, dims, np.where(used, at, -1)
+
+    def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
+        v = np.array(vertices, dtype=np.intp).reshape(-1, 3)
+        bad = np.flatnonzero(
+            (v[:, 0] < 0) | ((v[:, 1] < 0) & (v[:, 2] != -1))
+            | ((v[:, 1:] <= v[:, :-1]) & (v[:, 1:] != -1)).any(axis=1)
+        )
+        if bad.size:
+            row = v[bad[0]].tolist()
+            raise ValueError(f"simplex row {row} is not increasing ids >= 0 padded with -1")
+        used = v >= 0
+        dims = used.sum(axis=1) - 1
+        ranks = np.searchsorted(np.union1d(v, -1), v)
+        base = ranks.max(initial=0) + 1
+        if base > 2**21:
+            raise ValueError(f"{base - 1} distinct vertex ids overflow the int64 simplex codes")
+        codes = ranks @ [base**2, base, 1]
+        order = np.argsort(codes)
+        if (np.diff(codes[order]) == 0).any():
+            raise ValueError("duplicate simplexes")
+        faces = ranks[:, [[1, 2], [0, 2], [0, 1]]] @ [base**2, base]
+        at = order[np.minimum(np.searchsorted(codes, faces, sorter=order), len(codes) - 1)]
+        used &= dims[:, None] > 0
+        missing = np.argwhere(used & (codes[at] != faces))
+        if missing.size:
+            i, j = missing[0]
+            simplex = tuple(x for x in v[i].tolist() if x >= 0)
+            face, kinds = simplex[:j] + simplex[j + 1 :], ("vertex", "edge", "triangle")
+            raise _MissingFacet(
+                f"{kinds[len(simplex) - 1]} {simplex} lacks {kinds[len(face) - 1]} {face}"
+            )
+        self.vertices, self.dims, self.facets = v, dims, np.where(used, at, -1)
+        for arr in (self.vertices, self.dims, self.facets):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.dims)
+
+    def __getitem__(self, index):
+        return self._simplexes[index]
+
+    def __iter__(self):
+        return iter(self._simplexes)
+
+    @cached_property
+    def _simplexes(self) -> tuple[Simplex, ...]:
+        return tuple(Simplex(tuple(v for v in row if v >= 0)) for row in self.vertices.tolist())
+
+
+def _facet_table(simplexes: Sequence[Simplex]) -> Skeleton:
+    """``simplexes`` as a :class:`Skeleton`, resolved unless it is one."""
+    if isinstance(simplexes, Skeleton):
+        return simplexes
+    return Skeleton([s.vertices + (-1,) * (3 - len(s.vertices)) for s in simplexes])
 
 
 @dataclass(frozen=True)
 class WeightedComplex:
     """Simplexes with parallel weights, closed under inclusion.
 
+    ``simplexes`` is stored as a :class:`Skeleton` (a skeleton as given, so
+    a complex over another's skeleton reuses its tables), and its
+    ``vertices``, ``dims`` and ``facets`` tables are the representation.
+
     Vertices always weigh 0.  Monotonicity of the weights is not a
     construction requirement (raw alternating-diffusion weights may violate
     it); :func:`enforce_monotone` restores it and :func:`filtration_order`
     demands it.
-
-    Construction also stores read-only arrays, one row per simplex:
-    ``vertices`` (N x 3 ids padded with -1), ``dims`` (N) and ``facets``
-    (N x 3 facet positions, slot j dropping vertex j as in
-    :meth:`Simplex.facets`, -1 in unused slots).
     """
 
-    simplexes: tuple[Simplex, ...]
+    simplexes: Skeleton
     weights: np.ndarray
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
     dims: np.ndarray = field(init=False, repr=False, compare=False)
     facets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        simplexes = tuple(self.simplexes)
-        weights = np.array(self.weights, dtype=np.float64, copy=True)
-        weights.setflags(write=False)
-        if weights.ndim != 1 or len(weights) != len(simplexes):
-            raise ValueError(
-                f"{len(simplexes)} simplexes but {weights.shape} weights"
-            )
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
         try:
-            vertices, dims, facets = _facet_table(simplexes)
+            skeleton = _facet_table(self.simplexes)
         except _MissingFacet as exc:
             raise ValueError(f"complex not closed: {exc}") from None
-        weighted = np.flatnonzero((dims == 0) & (weights != 0.0))
+        weights = np.array(self.weights, dtype=np.float64, copy=True)
+        weights.setflags(write=False)
+        if weights.ndim != 1 or len(weights) != len(skeleton):
+            raise ValueError(f"{len(skeleton)} simplexes but {weights.shape} weights")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        weighted = np.flatnonzero((skeleton.dims == 0) & (weights != 0.0))
         if weighted.size:
-            raise ValueError(f"vertex {simplexes[weighted[0]].vertices} must have weight 0")
-        for name, arr in (("vertices", vertices), ("dims", dims), ("facets", facets)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "simplexes", simplexes)
+            raise ValueError(f"vertex {skeleton[weighted[0]].vertices} must have weight 0")
+        for name in ("vertices", "dims", "facets"):
+            object.__setattr__(self, name, getattr(skeleton, name))
+        object.__setattr__(self, "simplexes", skeleton)
         object.__setattr__(self, "weights", weights)
 
     @cached_property
@@ -169,7 +202,8 @@ class WeightedComplex:
 
     @property
     def max_weight(self) -> float:
-        return float(self.weights.max())
+        # exact: a nonempty closed complex holds a vertex, and vertices weigh 0
+        return float(self.weights.max(initial=0.0))
 
     def count(self, dimension: int) -> int:
         return int((self.dims == dimension).sum())
@@ -183,30 +217,45 @@ def _facet_max(cx: WeightedComplex, weights: np.ndarray) -> np.ndarray:
     return np.where(cx.facets >= 0, weights[cx.facets], -np.inf).max(axis=1)
 
 
-def complete_skeleton(n_vertices: int) -> list[Simplex]:
-    """All vertices, edges, and triangles over ``n_vertices`` ids."""
+def _padded(table: np.ndarray) -> np.ndarray:
+    """Rows of k vertex ids as vertex table rows, padded with -1."""
+    return np.pad(table, ((0, 0), (0, 3 - table.shape[1])), constant_values=-1)
+
+
+def complete_skeleton(n_vertices: int) -> Skeleton:
+    """All vertices, edges, and triangles over ``n_vertices`` ids, each kind
+    in lexicographic order, as a table built by index arithmetic."""
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
-    ids = range(n_vertices)
-    return [Simplex(v) for k in (1, 2, 3) for v in itertools.combinations(ids, k)]
+    a, b = np.triu_indices(n_vertices, 1)
+    # edge e = (a, b) is the first edge of the triangles (a, b, c), c > b
+    runs = n_vertices - 1 - b
+    e = np.repeat(np.arange(len(a)), runs)
+    c = np.arange(len(e)) - (np.cumsum(runs) - runs)[e] + b[e] + 1
+    return Skeleton(np.concatenate([
+        _padded(np.arange(n_vertices)[:, None]),
+        _padded(np.stack([a, b], axis=1)),
+        np.stack([a[e], b[e], c], axis=1),
+    ]))
 
 
-def grid_skeleton(rows: int, cols: int) -> list[Simplex]:
+def grid_skeleton(rows: int, cols: int) -> Skeleton:
     """Triangulated grid: row-major vertex ids, one diagonal per unit square.
 
     Each unit square [a b; c d] gets the diagonal a-d (top-left to
-    bottom-right) and the two triangles (a, b, d) and (a, c, d).
+    bottom-right) and the two triangles (a, b, d) and (a, c, d).  Each kind
+    is in lexicographic order, in a table built by index arithmetic.
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError(f"degenerate grid {rows}x{cols}")
     ids = np.arange(rows * cols).reshape(rows, cols)
     a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
     horizontal, vertical = (ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])
-    out = [Simplex((v,)) for v in range(rows * cols)]
+    tables = [ids.reshape(-1, 1)]
     for corners in ([horizontal, vertical, (a, d)], [(a, b, d), (a, c, d)]):
         table = np.concatenate([np.stack(v, axis=-1).reshape(-1, len(v)) for v in corners])
-        out += [Simplex(tuple(v)) for v in sorted(table.tolist())]
-    return out
+        tables.append(table[np.lexsort(table.T[::-1])])
+    return Skeleton(np.concatenate([_padded(t) for t in tables]))
 
 
 _ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
@@ -281,8 +330,8 @@ def raw_weights(
     ``P S_abc P = Z + Z^T`` with ``Z = G_c C_ab + G_a C_bc + G_b C_ac`` for
     a triangle, whose squared norm is ``2 ||Z||^2 + 2 <Z, Z^T>``.  So a
     triangle costs three L x L products and no simplex is centered.  Every
-    triangle finds its edges in the facet table that :class:`WeightedComplex`
-    also uses, so the skeleton must be closed.  Useful on its own for weight
+    triangle finds its edges in the facet table of the skeleton, so the
+    skeleton must be closed.  Useful on its own for weight
     statistics; building a filtration should go through
     :func:`assign_weights` instead.
 
@@ -308,7 +357,8 @@ def raw_weights(
     sizes = {k.size for k in operators}
     if len(sizes) > 1:
         raise ValueError(f"operators disagree on size: {sorted(sizes)}")
-    vertices, dims, facets = _facet_table(skeleton)
+    skeleton = _facet_table(skeleton)
+    vertices, dims, facets = skeleton.vertices, skeleton.dims, skeleton.facets
     beyond = np.flatnonzero(vertices.max(axis=1) >= n)
     if beyond.size:
         v = skeleton[beyond[0]].vertices
@@ -377,7 +427,7 @@ def assign_weights(
     making weight scales comparable across datasets with different
     observation counts (the order within one filtration is unchanged).
     """
-    skeleton = tuple(skeleton)
+    skeleton = _facet_table(skeleton)
     cx = WeightedComplex(skeleton, raw_weights(skeleton, operators))
     return enforce_monotone(_median_normalized(cx) if normalize else cx)
 
@@ -418,19 +468,20 @@ def filtration_order(cx: WeightedComplex) -> list[int]:
 def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
     """Write ``dim,v0,v1,v2,weight`` rows, blank cells for unused vertex slots.
 
-    Weights are written with ``repr`` so the round trip is bit-exact.
+    Weights are written with ``repr`` so the round trip is bit-exact, and
+    the bytes are those :mod:`csv`'s writer gives, ``\\r\\n`` line ends included.
     """
+    ids = np.union1d(cx.vertices, -1)  # the padding -1 sorts first: a blank cell
+    names = np.array(["", *map(str, ids[1:].tolist())], dtype=object)
+    cells = names[np.searchsorted(ids, cx.vertices)].T.tolist()
+    rows = zip(map(str, cx.dims.tolist()), *cells, map(repr, cx.weights.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "v0", "v1", "v2", "weight"])
-        for s, w in zip(cx.simplexes, cx.weights):
-            v = list(s.vertices) + [""] * (3 - len(s.vertices))
-            writer.writerow([s.dimension, *v, repr(float(w))])
+        fh.write("\r\n".join(["dim,v0,v1,v2,weight", *map(",".join, rows), ""]))
 
 
 def read_complex_csv(path: str | Path) -> WeightedComplex:
-    """Read a complex written by :func:`write_complex_csv`."""
-    simplexes: list[Simplex] = []
+    """Read a complex written by :func:`write_complex_csv` into its table."""
+    table: list[list[int]] = []
     weights: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -440,12 +491,11 @@ def read_complex_csv(path: str | Path) -> WeightedComplex:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 5:
+            dim = int(row[0]) if len(row) == 5 and row[0] in ("0", "1", "2") else -1
+            if dim < 0 or "" in row[1 : 2 + dim]:
                 raise ValueError(f"malformed complex CSV row: {row}")
-            dim = int(row[0])
-            verts = tuple(int(x) for x in row[1 : 2 + dim])
-            if any(cell != "" for cell in row[2 + dim : 4]):
+            if any(row[2 + dim : 4]):
                 raise ValueError(f"row declares dim={dim} but has extra vertices: {row}")
-            simplexes.append(Simplex(verts))
+            table.append([int(x) for x in row[1 : 2 + dim]] + [-1] * (2 - dim))
             weights.append(float(row[4]))
-    return WeightedComplex(tuple(simplexes), np.array(weights))
+    return WeightedComplex(Skeleton(table), np.array(weights))

@@ -22,7 +22,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -46,32 +47,31 @@ __all__ = [
 EssentialPolicy = Literal["infinite", "cap"]
 
 
-@dataclass(frozen=True)
 class BoundaryMatrix:
     """Z2 boundary matrix in filtration order, one sparse column per simplex.
 
-    ``columns[j]`` lists the filtration positions of the facets of the j-th
-    simplex in the filtration; ``order[j]`` is that simplex's id in the
-    originating complex.  Each column must be strictly increasing and name
-    only rows before its own position.
+    ``order[j]`` is the id in the originating complex of the j-th simplex in
+    the filtration, and its column lists the filtration positions of that
+    simplex's facets.  Each column must be strictly increasing and name only
+    rows before its own position.
 
-    Construction also stores the columns flattened, read-only: ``lengths``
-    (rows per column) and ``rows`` (all columns' rows, concatenated).
+    The columns are held flattened, read-only: ``lengths`` (rows per column)
+    and ``rows`` (all columns' rows, concatenated).  ``columns`` builds one
+    tuple per column from them when first read.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.columns)
-        if n != len(self.order):
-            raise ValueError("columns and order must be parallel")
-        lengths = np.fromiter(map(len, self.columns), dtype=np.int64, count=n)
+    def __init__(self, columns: Sequence[Sequence[int]], order: Sequence[int]) -> None:
+        lengths = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
         rows = np.fromiter(
-            itertools.chain.from_iterable(self.columns), dtype=np.int64, count=int(lengths.sum())
+            itertools.chain.from_iterable(columns), dtype=np.int64, count=int(lengths.sum())
         )
+        self._set_table(lengths, rows, tuple(order))
+
+    def _set_table(self, lengths: np.ndarray, rows: np.ndarray, order: tuple[int, ...]) -> None:
+        n = len(lengths)
+        if n != len(order):
+            raise ValueError("columns and order must be parallel")
+        self.lengths, self.rows, self.order = lengths, rows, order
         owner = np.repeat(np.arange(n), lengths)
         # a row at or below its predecessor in the same column
         unsorted = owner[1:][(owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])]
@@ -81,9 +81,13 @@ class BoundaryMatrix:
             raise ValueError(f"column {j} is not strictly increasing: {self.columns[j]}")
         if late.size:
             raise ValueError(f"column {late[0]} references a row at or after itself")
-        for name, arr in (("lengths", lengths), ("rows", rows)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        lengths.setflags(write=False)
+        rows.setflags(write=False)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        rows, ends = self.rows.tolist(), np.cumsum(self.lengths).tolist()
+        return tuple(tuple(rows[end - k : end]) for k, end in zip(self.lengths.tolist(), ends))
 
 
 @dataclass(frozen=True)
@@ -147,16 +151,22 @@ class PersistenceDiagram:
 
 
 def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix:
-    """Combined Z2 boundary matrix of all simplexes in filtration order."""
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(len(cx.simplexes))):
+    """Combined Z2 boundary matrix of all simplexes in filtration order,
+    filled from the complex's ``facets`` table without a tuple per column."""
+    order = tuple(map(int, order))
+    ids = np.array(order, dtype=np.intp)
+    n = len(cx.dims)
+    if len(ids) != n or not np.array_equal(np.sort(ids), np.arange(n)):
         raise ValueError("order must be a permutation of all simplex ids")
-    position = np.argsort(order)
-    facets = cx.facets[order]
+    position = np.empty(n, dtype=np.intp)
+    position[ids] = np.arange(n)
+    facets = cx.facets[ids]
     # unused slots stay -1 and so sort to the front of each row
-    rows = np.sort(np.where(facets >= 0, position[facets], -1), axis=1).tolist()
-    columns = tuple(tuple(row[row.count(-1) :]) for row in rows)
-    return BoundaryMatrix(columns, tuple(order))
+    rows = np.sort(np.where(facets >= 0, position[facets], -1), axis=1)
+    used = rows >= 0
+    m = BoundaryMatrix.__new__(BoundaryMatrix)
+    m._set_table(used.sum(axis=1), rows[used], order)
+    return m
 
 
 def _check_simplicial(m: BoundaryMatrix, starts: np.ndarray) -> None:
@@ -298,17 +308,17 @@ def extract_diagram(
     if essential_policy not in ("infinite", "cap"):
         raise ValueError(f"unknown essential policy {essential_policy!r}")
 
-    weights = cx.weights.tolist()
+    weights, dims = cx.weights.tolist(), cx.dims.tolist()
     out = [
         PersistencePair(degree, weights[b], weights[d], b, d)
         for b, d in reduction.pairs
-        if cx.dims[b] == degree and weights[b] != weights[d]
+        if dims[b] == degree and weights[b] != weights[d]
     ]
     death = math.inf if essential_policy == "infinite" else cx.max_weight
     out += [
         PersistencePair(degree, weights[s], death, s, None)
         for s in reduction.essential
-        if cx.dims[s] == degree
+        if dims[s] == degree
     ]
     return PersistenceDiagram(degree, tuple(out))
 

@@ -192,26 +192,21 @@ def cross_correlation_complex(
     for s in dataset.samples:
         d = pairwise_distances(s)
         vecs.append(affinity(d, median_scale(d, epsilon_factor)).entries.ravel())
-    n = len(vecs)
-    rho = np.corrcoef(np.asarray(vecs)) if n > 1 else np.ones((1, 1))
-
-    def edge_rho(a: int, b: int) -> float:
-        r = float(rho[a, b])
-        if not np.isfinite(r) or r == 0.0:
-            raise ValueError(f"correlation between samples {a} and {b} is degenerate")
-        return r
-
-    skeleton = list(skeleton)
-    weights = np.zeros(len(skeleton))
-    for i, s in enumerate(skeleton):
-        if s.dimension == 1:
-            a, b = s.vertices
-            weights[i] = 1.0 / abs(edge_rho(a, b))
-        elif s.dimension == 2:
-            a, b, c = s.vertices
-            total = edge_rho(a, b) ** 2 + edge_rho(b, c) ** 2 + edge_rho(a, c) ** 2
-            weights[i] = 1.0 / np.sqrt(total)
-    cx = WeightedComplex(tuple(skeleton), weights)
+    rho = np.corrcoef(np.asarray(vecs)) if len(vecs) > 1 else np.ones((1, 1))
+    cx = WeightedComplex(skeleton, np.zeros(len(skeleton)))
+    # the edges (a, b), (b, c) and (a, c) of each simplex, where it has them
+    ends = cx.vertices[:, [[0, 1], [1, 2], [0, 2]]]
+    has = (ends >= 0).all(axis=2)
+    r = np.where(has, rho[ends[..., 0], ends[..., 1]], 0.0)
+    bad = np.argwhere(has & (~np.isfinite(r) | (r == 0.0)))
+    if bad.size:
+        a, b = ends[tuple(bad[0])].tolist()
+        raise ValueError(f"correlation between samples {a} and {b} is degenerate")
+    weights = np.zeros(len(r))
+    edges, triangles = cx.dims == 1, cx.dims == 2
+    weights[edges] = 1.0 / np.abs(r[edges, 0])
+    weights[triangles] = 1.0 / np.sqrt((r[triangles] ** 2).sum(axis=1))
+    cx = WeightedComplex(cx.simplexes, weights)
     return enforce_monotone(_median_normalized(cx) if normalize else cx)
 
 

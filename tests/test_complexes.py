@@ -2,15 +2,22 @@
 
 import itertools
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_complexes import (
+    complete_skeleton_reference,
+    grid_skeleton_reference,
+    write_complex_csv_reference,
+)
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
 from topodist.complexes import (
     Simplex,
+    Skeleton,
     WeightedComplex,
     _triangle_groups,
     assign_weights,
@@ -709,3 +716,96 @@ def test_no_operators():
         raw_weights([Simplex((0,))], [])
     with pytest.raises(ValueError, match=message):
         assign_weights([Simplex((0,))], [])
+
+
+# ---------------------------------------------------------------------------
+# table-built skeletons and CSV writer against the per-simplex references
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_complete_skeleton_matches_the_simplex_list(n):
+    assert list(complete_skeleton(n)) == complete_skeleton_reference(n)
+
+
+def test_grid_skeleton_matches_the_simplex_list():
+    for rows, cols in itertools.product(range(1, 9), repeat=2):
+        if rows * cols >= 2:
+            assert list(grid_skeleton(rows, cols)) == grid_skeleton_reference(rows, cols)
+
+
+def test_skeleton_is_a_sequence_of_simplexes():
+    sk, listed = complete_skeleton(5), complete_skeleton_reference(5)
+    assert isinstance(sk, Sequence)
+    assert len(sk) == len(listed) == 25
+    assert sk[0] == Simplex((0,)) and sk[-1] == listed[-1] == Simplex((2, 3, 4))
+    assert sk[-11] == listed[-11]
+    assert sk[4:9] == tuple(listed[4:9]) and sk[::-7] == tuple(listed[::-7])
+    assert list(sk) == listed and tuple(sk) == tuple(listed)
+    assert Simplex((1, 3)) in sk and sk.index(Simplex((1, 3))) == listed.index(Simplex((1, 3)))
+    with pytest.raises(IndexError):
+        sk[25]
+    with pytest.raises(ValueError, match="read-only"):
+        sk.vertices[0, 0] = 1
+    weights = np.where(sk.dims == 0, 0.0, np.linspace(1.0, 2.0, len(sk)))
+    shared, resolved = WeightedComplex(sk, weights), WeightedComplex(tuple(sk), weights)
+    assert shared.simplexes is sk
+    for name in ("vertices", "dims", "facets"):
+        assert np.array_equal(getattr(shared, name), getattr(resolved, name))
+
+
+@pytest.mark.parametrize(
+    "row", [[1, 0, -1], [0, 0, -1], [-2, -1, -1], [-1, -1, -1], [0, -1, 3], [0, 2, -5]]
+)
+def test_skeleton_rejects_malformed_rows(row):
+    with pytest.raises(ValueError, match=rf"^simplex row \[{row[0]}, .* padded with -1$"):
+        Skeleton([[0, -1, -1], row])
+
+
+WIDE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def wide_complexes(draw) -> WeightedComplex:
+    """A drawn closed complex, its ids shifted to 10 or more, its positive-
+    dimension weights drawn from the smallest subnormal to 1e300."""
+    cx = draw(closed_complexes())
+    shift = draw(st.integers(10, 10**12))
+    return WeightedComplex(
+        tuple(Simplex(tuple(v + shift for v in s.vertices)) for s in cx.simplexes),
+        np.array([0.0 if d == 0 else draw(WIDE) for d in cx.dims.tolist()]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_complexes())
+def test_complex_csv_bytes_match_the_csv_writer_and_round_trip(cx):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+        write_complex_csv(cx, ours)
+        write_complex_csv_reference(cx, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        back = read_complex_csv(ours)
+    assert np.array_equal(back.vertices, cx.vertices)
+    assert back.weights.tobytes() == cx.weights.tobytes()
+
+
+def test_empty_complex_csv_is_the_header_alone(tmp_path):
+    write_complex_csv(assign_weights([], []), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b"dim,v0,v1,v2,weight\r\n"
+    assert read_complex_csv(tmp_path / "empty.csv").n_simplexes == 0
+
+
+def test_complex_csv_rejects_a_dim_outside_0_to_2(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("dim,v0,v1,v2,weight\n0,0,,,0.0\n3,0,1,2,0.5\n")
+    message = r"^malformed complex CSV row: \['3', '0', '1', '2', '0.5'\]$"
+    with pytest.raises(ValueError, match=message):
+        read_complex_csv(p)
+
+
+def test_complex_csv_rejects_a_blank_vertex_cell(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("dim,v0,v1,v2,weight\n0,0,,,0.0\n1,0,,,0.5\n")
+    message = r"^malformed complex CSV row: \['1', '0', '', '', '0.5'\]$"
+    with pytest.raises(ValueError, match=message):
+        read_complex_csv(p)

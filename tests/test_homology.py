@@ -383,6 +383,14 @@ def test_euler_consistency_along_filtration():
             assert v - e + t == alive[0] - alive[1] + alive[2]
 
 
+@pytest.mark.parametrize("policy", ["infinite", "cap"])
+def test_empty_complex_has_empty_diagrams(policy):
+    cx = assign_weights([], [])
+    assert cx.max_weight == 0.0
+    diagrams = persistence_diagrams(cx, essential_policy=policy)
+    assert {k: d.pairs for k, d in diagrams.items()} == {0: (), 1: ()}
+
+
 # ---------------------------------------------------------------------------
 # types and serialization
 

@@ -242,6 +242,25 @@ class TestBaselines:
         assert (weights[dims == 0] == 0.0).all()
         assert (weights[dims > 0] >= 1.0).all()
 
+    def test_cross_correlation_names_the_first_degenerate_pair(self, monkeypatch):
+        ds = torus_datasets([4])[0]
+        corrcoef = np.corrcoef
+
+        def degenerate(x):
+            rho = corrcoef(x)
+            rho[1, 3] = rho[3, 1] = np.nan
+            rho[2, 3] = rho[3, 2] = 0.0
+            return rho
+
+        monkeypatch.setattr(np, "corrcoef", degenerate)
+        skeleton = complete_skeleton(len(ds.samples))
+        message = r"^correlation between samples {} and 3 is degenerate$"
+        with pytest.raises(ValueError, match=message.format(1)):
+            cross_correlation_complex(skeleton, ds)
+        without = [s for s in skeleton if not {1, 3} <= set(s.vertices)]
+        with pytest.raises(ValueError, match=message.format(2)):
+            cross_correlation_complex(without, ds)
+
     def test_cross_correlation_scheme_runs_in_pipeline(self):
         datasets = torus_datasets([1, 2])
         matrix, _ = run_pipeline(
