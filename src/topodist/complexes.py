@@ -78,18 +78,17 @@ class _MissingFacet(ValueError):
 
 
 class Skeleton(Sequence[Simplex]):
-    """Vertices, edges and triangles held as read-only tables, one row each.
+    """Vertices, edges and triangles as read-only tables, one row each:
+    ``vertices`` (N x 3 ids padded with -1), ``dims`` (N) and ``facets``
+    (N x 3 facet positions, slot j dropping vertex j as in
+    :meth:`Simplex.facets`, -1 in unused slots).  Its elements are
+    :class:`Simplex` objects, built on first access.
 
-    The tables are ``vertices`` (N x 3 ids padded with -1), ``dims`` (N)
-    and ``facets`` (N x 3 facet positions, slot j dropping vertex j as in
-    :meth:`Simplex.facets`, -1 in unused slots).  Construction resolves a
-    vertex table once.  Vertex ids are replaced by their ranks (the padding
-    -1 ranks 0), so each row encodes as one int64 in base (max rank + 1)
-    however large the ids are, for up to 2**21 - 1 distinct ids; facets are
-    then found by binary search in the sorted codes.  Rejects rows that are
-    not increasing ids >= 0 then padding, and duplicates, and names the
-    first simplex that lacks a facet.  Indexing, slicing and iteration give
-    :class:`Simplex` objects, built on the first such access.
+    Construction validates the vertex table and resolves facets once.  Ids
+    are replaced by their ranks (the padding -1 ranks 0), so each row
+    encodes as one int64 in base (max rank + 1), for up to 2**21 - 1
+    distinct ids, and facets are found by binary search in the sorted codes.
+    A malformed row, a duplicate or a missing facet raises ``ValueError``.
     """
 
     def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
@@ -113,8 +112,8 @@ class Skeleton(Sequence[Simplex]):
             raise ValueError("duplicate simplexes")
         faces = ranks[:, [[1, 2], [0, 2], [0, 1]]] @ [base**2, base]
         at = order[np.minimum(np.searchsorted(codes, faces, sorter=order), len(codes) - 1)]
-        used &= dims[:, None] > 0
-        missing = np.argwhere(used & (codes[at] != faces))
+        has_facet = used & (dims[:, None] > 0)
+        missing = np.argwhere(has_facet & (codes[at] != faces))
         if missing.size:
             i, j = missing[0]
             simplex = tuple(x for x in v[i].tolist() if x >= 0)
@@ -122,7 +121,7 @@ class Skeleton(Sequence[Simplex]):
             raise _MissingFacet(
                 f"{kinds[len(simplex) - 1]} {simplex} lacks {kinds[len(face) - 1]} {face}"
             )
-        self.vertices, self.dims, self.facets = v, dims, np.where(used, at, -1)
+        self.vertices, self.dims, self.facets = v, dims, np.where(has_facet, at, -1)
         for arr in (self.vertices, self.dims, self.facets):
             arr.setflags(write=False)
 
