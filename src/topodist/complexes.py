@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import compress
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from topodist.alternating import _EPS
-from topodist.diffusion import DiffusionOperator
+from topodist.diffusion import DiffusionOperator, _check_stochastic
 
 __all__ = [
     "Simplex",
@@ -108,10 +109,15 @@ class Skeleton(Sequence[Simplex]):
             raise ValueError(f"{base - 1} distinct vertex ids overflow the int64 simplex codes")
         codes = ranks @ [base**2, base, 1]
         order = np.argsort(codes)
-        if (np.diff(codes[order]) == 0).any():
+        ordered = codes[order]
+        if (np.diff(ordered) == 0).any():
             raise ValueError("duplicate simplexes")
         faces = ranks[:, [[1, 2], [0, 2], [0, 1]]] @ [base**2, base]
-        at = order[np.minimum(np.searchsorted(codes, faces, sorter=order), len(codes) - 1)]
+        # in sorted order each binary search starts where the last one ended
+        by_face = np.argsort(faces, axis=None)
+        at = np.empty(faces.size, dtype=np.intp)
+        at[by_face] = np.searchsorted(ordered, faces.flat[by_face])
+        at = order[np.minimum(at, len(codes) - 1)].reshape(faces.shape)
         has_facet = used & (dims[:, None] > 0)
         missing = np.argwhere(has_facet & (codes[at] != faces))
         if missing.size:
@@ -185,16 +191,6 @@ class WeightedComplex:
         object.__setattr__(self, "simplexes", skeleton)
         object.__setattr__(self, "weights", weights)
 
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {s.vertices: i for i, s in enumerate(self.simplexes)}
-
-    def position(self, vertices: tuple[int, ...]) -> int:
-        return self._positions[tuple(vertices)]
-
-    def weight_of(self, vertices: tuple[int, ...]) -> float:
-        return float(self.weights[self.position(vertices)])
-
     @property
     def n_simplexes(self) -> int:
         return len(self.simplexes)
@@ -260,18 +256,23 @@ def grid_skeleton(rows: int, cols: int) -> Skeleton:
 _ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
 
 
-def _centered(k: np.ndarray) -> np.ndarray:
-    """``P K P``: ``k`` less its column means, then less its row means.
+def _centered(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P K P`` for each operator of an ``(n, L, L)`` stack, and its
+    Frobenius norm: each ``K`` less its column means, then less its row means.
 
-    A result below the rounding level of ``k`` is noise and comes back as
-    exact zeros, so every simplex on a sample whose rows are all equal
+    A result below the rounding level of its ``K`` is noise and comes back
+    as exact zeros, so every simplex on a sample whose rows are all equal
     meets the zero-matrix check of :func:`raw_weights`.
     """
-    g = k - k.mean(axis=0)
-    g -= g.mean(axis=1, keepdims=True)
-    if math.sqrt(np.vdot(g, g)) <= k.shape[0] * _EPS * math.sqrt(np.vdot(k, k)):
-        g[:] = 0.0
-    return g
+    if not k.size:  # no means to take, and numpy warns on an empty mean
+        return k.copy(), np.zeros(len(k))
+    g = k - k.mean(axis=1, keepdims=True)
+    g -= g.mean(axis=2, keepdims=True)
+    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
+    noise = norms <= k.shape[1] * _EPS * np.array([math.sqrt(np.vdot(x, x)) for x in k])
+    g[noise] = 0.0
+    norms[noise] = 0.0
+    return g, norms
 
 
 def _triangle_groups(
@@ -315,10 +316,15 @@ def _triangle_groups(
 
 def raw_weights(
     skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator],
+    operators: Sequence[DiffusionOperator] | np.ndarray,
     workers: int | None = None,
 ) -> np.ndarray:
     """Alternating-diffusion weights per simplex, before monotone enforcement.
+
+    ``operators`` holds one diffusion operator per sample, either as
+    :class:`~topodist.diffusion.DiffusionOperator` objects or as the
+    ``(n, L, L)`` stack of :func:`~topodist.diffusion.operator_stack`; an
+    array is checked row-stochastic as the type would check it.
 
     Vertices get 0, edges and triangles the weights of
     :func:`~topodist.alternating.edge_weight` and
@@ -341,9 +347,9 @@ def raw_weights(
     consecutively, which holds for every run of a skeleton in canonical
     (lexicographic vertex) order, as :func:`complete_skeleton` and
     :func:`grid_skeleton` give it, and gathered copies elsewhere.  Memory
-    held: the ``n L^2`` operator stack, the ``E L^2`` pair stack for ``E``
-    edges, and ``3 k L^2`` temporaries for a run of ``k`` triangles, or
-    ``6 k L^2`` when its three operand stacks are gathered.  When several
+    held: the ``n L^2`` operator and centered stacks, the ``E L^2`` pair
+    stack for ``E`` edges, and ``3 k L^2`` temporaries for a run of ``k``
+    triangles, or ``6 k L^2`` when its three operand stacks are gathered.  When several
     simplexes have a zero centered operator, the error names the first of
     them in skeleton order.
 
@@ -352,10 +358,17 @@ def raw_weights(
     benchmark's threading probe, which has not shown it faster than serial
     on two cores.
     """
-    n = len(operators)
-    sizes = {k.size for k in operators}
-    if len(sizes) > 1:
-        raise ValueError(f"operators disagree on size: {sorted(sizes)}")
+    if isinstance(operators, np.ndarray):
+        k = np.asarray(operators, dtype=np.float64)
+        if k.ndim != 3 or k.shape[1] != k.shape[2]:
+            raise ValueError(f"operator stack must have shape (n, L, L), got {k.shape}")
+        _check_stochastic(k)
+    else:
+        sizes = {op.size for op in operators}
+        if len(sizes) > 1:
+            raise ValueError(f"operators disagree on size: {sorted(sizes)}")
+        k = np.array([op.entries for op in operators]) if len(operators) else np.empty((0, 0, 0))
+    n = len(k)
     skeleton = _facet_table(skeleton)
     vertices, dims, facets = skeleton.vertices, skeleton.dims, skeleton.facets
     beyond = np.flatnonzero(vertices.max(axis=1) >= n)
@@ -363,11 +376,8 @@ def raw_weights(
         v = skeleton[beyond[0]].vertices
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
-    size = sizes.pop() if sizes else 0
-    g = np.empty((n, size, size))
-    for v, op in enumerate(operators):
-        g[v] = _centered(op.entries)
-    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
+    size = k.shape[1]
+    g, norms = _centered(k)
     # a centered matrix is noise below this multiple of its factors' norms
     tol = size * _EPS
     weights = np.zeros(len(skeleton))
@@ -414,7 +424,7 @@ def raw_weights(
 
 def assign_weights(
     skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator],
+    operators: Sequence[DiffusionOperator] | np.ndarray,
     normalize: bool = False,
 ) -> WeightedComplex:
     """Attach alternating-diffusion weights to a skeleton.
@@ -479,22 +489,44 @@ def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
 
 
 def read_complex_csv(path: str | Path) -> WeightedComplex:
-    """Read a complex written by :func:`write_complex_csv` into its table."""
-    table: list[list[int]] = []
-    weights: list[float] = []
+    """Read a complex written by :func:`write_complex_csv` into its table.
+
+    The rows are checked and parsed column by column.  The error for a
+    malformed row names the first one whose cells are misplaced, or
+    failing that the first whose id or weight does not parse.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["dim", "v0", "v1", "v2", "weight"]:
             raise ValueError(f"unexpected complex CSV header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            dim = int(row[0]) if len(row) == 5 and row[0] in ("0", "1", "2") else -1
-            if dim < 0 or "" in row[1 : 2 + dim]:
-                raise ValueError(f"malformed complex CSV row: {row}")
-            if any(row[2 + dim : 4]):
-                raise ValueError(f"row declares dim={dim} but has extra vertices: {row}")
-            table.append([int(x) for x in row[1 : 2 + dim]] + [-1] * (2 - dim))
-            weights.append(float(row[4]))
-    return WeightedComplex(Skeleton(table), np.array(weights))
+        rows = [row for row in reader if row]
+    n = len(rows)
+    # a row of the wrong length reads as blanks, so it is malformed
+    cells = [r if len(r) == 5 else [""] * 5 for r in rows] if set(map(len, rows)) - {5} else rows
+    dim, *ids, weight = zip(*cells) if n else [()] * 5
+    dims = np.fromiter(map({"0": 0, "1": 1, "2": 2}.get, dim, [-1] * n), np.intp, n)
+    used = np.arange(3) <= dims[:, None]
+    filled = np.array([np.fromiter(map(bool, c), bool, n) for c in ids]).T
+    malformed = (dims < 0) | (used & ~filled).any(axis=1)
+    bad = np.flatnonzero(malformed | (filled & ~used).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        if malformed[i]:
+            raise ValueError(f"malformed complex CSV row: {rows[i]}")
+        raise ValueError(f"row declares dim={dims[i]} but has extra vertices: {rows[i]}")
+    table = np.full((n, 3), -1, dtype=np.intp)
+    try:
+        for j, column in enumerate(ids):
+            present = compress(column, used[:, j].tolist())
+            table[used[:, j], j] = np.fromiter(map(int, present), np.intp)
+        weights = np.fromiter(map(float, weight), np.float64, n)
+    except ValueError:
+        for row in rows:
+            try:
+                [int(x) for x in row[1:4] if x]
+                float(row[4])
+            except ValueError:
+                raise ValueError(f"malformed complex CSV row: {row}") from None
+        raise
+    return WeightedComplex(Skeleton(table), weights)

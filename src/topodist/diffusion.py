@@ -5,11 +5,17 @@ The chain is: pairwise distances within a sample, a Gaussian affinity
 heuristic, then a two-step normalization that first divides out the local
 density (``Q^-1 W Q^-1``) and then row-normalizes, yielding a row-stochastic
 operator whose spectrum is real.
+
+:func:`operator_stack` runs the chain once for all samples of a dataset;
+:func:`sample_diffusion_operator` and the validated :class:`AffinityMatrix`
+and :class:`DiffusionOperator` types run it for one sample and are the
+oracle it is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -24,6 +30,7 @@ __all__ = [
     "affinity",
     "diffusion_operator",
     "sample_diffusion_operator",
+    "operator_stack",
 ]
 
 
@@ -69,17 +76,27 @@ class DiffusionOperator:
         k = _readonly(self.entries)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError(f"operator must be square, got shape {k.shape}")
-        if (k < 0.0).any():
-            raise ValueError("operator entries must be nonnegative")
-        row_sums = k.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, rtol=0.0, atol=1e-12):
-            worst = float(np.abs(row_sums - 1.0).max())
-            raise ValueError(f"operator rows must sum to 1 within 1e-12 (off by {worst:.3e})")
+        _check_stochastic(k)
         object.__setattr__(self, "entries", k)
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_stochastic(k: np.ndarray) -> None:
+    """Raise unless ``k``, one operator or an ``(n, L, L)`` stack of them,
+    has nonnegative entries and rows summing to 1 within 1e-12.  For a
+    stack the error names the first sample at fault."""
+    stack, name = (k, "sample {}: operator") if k.ndim == 3 else (k[np.newaxis], "operator")
+    negative = np.flatnonzero((stack < 0.0).any(axis=(1, 2)))
+    if negative.size:
+        raise ValueError(f"{name.format(negative[0])} entries must be nonnegative")
+    off = np.abs(stack.sum(axis=2) - 1.0).max(axis=1, initial=0.0)
+    bad = np.flatnonzero(~(off <= 1e-12))  # a NaN sum is off too
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{name.format(i)} rows must sum to 1 within 1e-12 (off by {off[i]:.3e})")
 
 
 def pairwise_distances(sample: Sample) -> np.ndarray:
@@ -129,20 +146,26 @@ def diffusion_operator(w: AffinityMatrix) -> DiffusionOperator:
     result is row-stochastic and similar to a symmetric matrix via
     ``Q~^(1/2) K Q~^(-1/2)``.
     """
-    return _two_step(w.entries)[0]
+    return DiffusionOperator(_two_step(w.entries)[0])
 
 
-def _two_step(mat: np.ndarray) -> tuple[DiffusionOperator, np.ndarray, np.ndarray]:
-    """``K``, ``W~`` and the row sums ``q~`` of :func:`diffusion_operator`."""
-    q = mat.sum(axis=1)
+def _two_step(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``K``, ``W~`` and the row sums ``q~`` of :func:`diffusion_operator`,
+    for one affinity matrix or for each of an ``(n, L, L)`` stack.
+
+    Every row is summed along the contiguous last axis and every entry
+    divided on its own, so a matrix gets the same bits alone or stacked.
+    ``K`` is not checked here: its float row sums land within ~1e-15 of 1,
+    and the callers check the 1e-12 bound.
+    """
+    q = mat.sum(axis=-1)
     if (q <= 0.0).any():
         raise ValueError("affinity matrix has a nonpositive row sum")
-    w_tilde = mat / np.outer(q, q)
-    q_tilde = w_tilde.sum(axis=1)
+    w_tilde = mat / (q[..., :, np.newaxis] * q[..., np.newaxis, :])
+    q_tilde = w_tilde.sum(axis=-1)
     if (q_tilde <= 0.0).any():
         raise ValueError("density-normalized matrix has a nonpositive row sum")
-    # float row sums land within ~1e-15 of 1; the type re-checks the 1e-12 bound
-    return DiffusionOperator(w_tilde / q_tilde[:, np.newaxis]), w_tilde, q_tilde
+    return w_tilde / q_tilde[..., np.newaxis], w_tilde, q_tilde
 
 
 def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> DiffusionOperator:
@@ -154,3 +177,65 @@ def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> Dif
     d = pairwise_distances(sample)
     eps = median_scale(d, median_factor)
     return diffusion_operator(affinity(d, eps))
+
+
+def _affinity_stack(
+    samples: Sequence[Sample], median_factor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, L, L)`` Gaussian affinities of ``samples`` and their scales.
+
+    Bit for bit what :func:`pairwise_distances`, :func:`median_scale` and
+    :func:`affinity` give one sample at a time: distances come from
+    :func:`~scipy.spatial.distance.pdist` per sample (from differences, so
+    coincident observations are exactly 0 apart), and each median is read
+    from that sample's sorted positive squared distances, the mean of the
+    two middle ones when their count is even, as :func:`numpy.median` takes
+    it.  A sample whose observations all coincide raises, naming the first.
+    """
+    if not 0.0 < median_factor < np.inf:
+        raise ValueError(f"factor must be positive and finite, got {median_factor}")
+    sizes = sorted({s.n_observations for s in samples})
+    if len(sizes) > 1:
+        raise ValueError(f"samples disagree on observation count: {sizes}")
+    size = sizes[0] if sizes else 0
+    squared = np.empty((len(samples), size * (size - 1) // 2))
+    for row, s in zip(squared, samples):
+        row[:] = pdist(s.observations, metric="euclidean")
+    squared **= 2
+    ordered = np.sort(squared, axis=1)
+    zeros = (ordered == 0.0).sum(axis=1)
+    positive = ordered.shape[1] - zeros
+    degenerate = np.flatnonzero(positive == 0)
+    if degenerate.size:
+        raise ValueError(
+            f"sample {degenerate[0]}: no pairwise distance is positive (all "
+            "observations coincide); kernel scale is degenerate"
+        )
+    rows = np.arange(len(ordered))
+    lo = ordered[rows, zeros + (positive - 1) // 2]
+    hi = ordered[rows, zeros + positive // 2]
+    epsilon = median_factor * np.where(positive % 2 == 1, lo, (lo + hi) / 2)
+    upper = np.exp(-squared / epsilon[:, np.newaxis])
+    w = np.empty((len(samples), size, size))
+    a, b = np.triu_indices(size, k=1)
+    w[:, a, b] = w[:, b, a] = upper
+    w[:, np.arange(size), np.arange(size)] = 1.0
+    return w, epsilon
+
+
+def operator_stack(
+    samples: Sequence[Sample], median_factor: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diffusion operators of a dataset's samples as one ``(n, L, L)`` stack,
+    with the kernel scale ``epsilon`` of each sample.
+
+    ``stack[i]`` equals ``sample_diffusion_operator(samples[i],
+    median_factor).entries`` bit for bit, and the whole stack is checked
+    once for nonnegative entries and rows summing to 1 within 1e-12.  The
+    samples must share their observation count; their observation
+    dimensions may differ.  No samples give a ``(0, 0, 0)`` stack.
+    """
+    w, epsilon = _affinity_stack(samples, median_factor)
+    k = _two_step(w)[0]
+    _check_stochastic(k)
+    return k, epsilon

@@ -32,12 +32,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Dataset, TorusSpec, generate_torus_dataset
-from topodist.diffusion import (
-    affinity,
-    median_scale,
-    pairwise_distances,
-    sample_diffusion_operator,
-)
+from topodist.diffusion import _affinity_stack, operator_stack
 from topodist.homology import (
     PersistenceDiagram,
     persistence_diagrams,
@@ -167,10 +162,7 @@ def build_weighted_complex(
         return cross_correlation_complex(
             skeleton, dataset, config.kernel_epsilon_factor, config.normalize
         )
-    operators = [
-        sample_diffusion_operator(s, median_factor=config.kernel_epsilon_factor)
-        for s in dataset.samples
-    ]
+    operators, _ = operator_stack(dataset.samples, config.kernel_epsilon_factor)
     return assign_weights(skeleton, operators, normalize=config.normalize)
 
 
@@ -188,11 +180,8 @@ def cross_correlation_complex(
     correlations.  Deliberately ignores the operator normalization, so
     tests can ask whether the diffusion machinery earns its keep.
     """
-    vecs = []
-    for s in dataset.samples:
-        d = pairwise_distances(s)
-        vecs.append(affinity(d, median_scale(d, epsilon_factor)).entries.ravel())
-    rho = np.corrcoef(np.asarray(vecs)) if len(vecs) > 1 else np.ones((1, 1))
+    w, _ = _affinity_stack(dataset.samples, epsilon_factor)
+    rho = np.corrcoef(w.reshape(len(w), -1)) if len(w) > 1 else np.ones((1, 1))
     cx = WeightedComplex(skeleton, np.zeros(len(skeleton)))
     # the edges (a, b), (b, c) and (a, c) of each simplex, where it has them
     ends = cx.vertices[:, [[0, 1], [1, 2], [0, 2]]]
@@ -349,9 +338,8 @@ def weight_profile(
     for offset in range(n_seeds):
         ds = generate_torus_dataset(dataclasses.replace(spec, seed=spec.seed + offset))
         tuples = [set(t) for t in ds.metadata["index_tuples"]]
-        operators = [sample_diffusion_operator(s) for s in ds.samples]
         skeleton = complete_skeleton(len(ds.samples))
-        raw = raw_weights(skeleton, operators)
+        raw = raw_weights(skeleton, operator_stack(ds.samples)[0])
         for s, w in zip(skeleton, raw):
             if s.dimension == 1:
                 a, b = s.vertices

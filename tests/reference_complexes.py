@@ -4,12 +4,15 @@ These are the builders and the writer the library used while it held a
 complex as a list of :class:`Simplex` objects: one object per simplex, and
 one ``csv.writer`` row per simplex.  The table-built versions must list the
 same simplexes in the same order and write the same bytes.  Shares no code
-with the tables under test.
+with the tables under test; :func:`position` and :func:`weight_of` look a
+simplex up among the :class:`Simplex` elements of a complex, not in its
+tables.
 """
 
 import csv
 import itertools
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -46,3 +49,13 @@ def write_complex_csv_reference(cx: WeightedComplex, path: str | Path) -> None:
         for s, w in zip(cx.simplexes, cx.weights):
             v = list(s.vertices) + [""] * (3 - len(s.vertices))
             writer.writerow([s.dimension, *v, repr(float(w))])
+
+
+def position(cx: WeightedComplex, vertices: Sequence[int]) -> int:
+    """Position in ``cx`` of the simplex with these vertex ids."""
+    return [s.vertices for s in cx.simplexes].index(tuple(vertices))
+
+
+def weight_of(cx: WeightedComplex, vertices: Sequence[int]) -> float:
+    """Weight in ``cx`` of the simplex with these vertex ids."""
+    return float(cx.weights[position(cx, vertices)])

@@ -1,6 +1,7 @@
 """Tests for skeleton builders, weight assignment, and filtration ordering."""
 
 import itertools
+import re
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from reference_complexes import (
     complete_skeleton_reference,
     grid_skeleton_reference,
+    position,
+    weight_of,
     write_complex_csv_reference,
 )
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
@@ -30,7 +33,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
-from topodist.diffusion import DiffusionOperator, sample_diffusion_operator
+from topodist.diffusion import DiffusionOperator, operator_stack, sample_diffusion_operator
 from topodist.homology import boundary_matrix
 
 
@@ -46,7 +49,7 @@ def enforce_oracle(cx: WeightedComplex) -> np.ndarray:
         changed = False
         for i, s in enumerate(cx.simplexes):
             for f in s.facets():
-                fw = w[cx.position(f.vertices)]
+                fw = w[position(cx, f.vertices)]
                 if fw > w[i]:
                     w[i] = fw
                     changed = True
@@ -154,11 +157,11 @@ def test_assign_weights_identity_operators():
     cx = assign_weights(complete_skeleton(3), identity_ops(3))
     for s in cx.simplexes:
         if s.dimension == 0:
-            assert cx.weight_of(s.vertices) == 0.0
+            assert weight_of(cx, s.vertices) == 0.0
         elif s.dimension == 1:
-            assert cx.weight_of(s.vertices) == pytest.approx(0.5, abs=1e-15)
+            assert weight_of(cx, s.vertices) == pytest.approx(0.5, abs=1e-15)
         else:
-            assert cx.weight_of(s.vertices) == pytest.approx(0.5, abs=1e-15)
+            assert weight_of(cx, s.vertices) == pytest.approx(0.5, abs=1e-15)
     assert cx.is_monotone()
 
 
@@ -187,10 +190,10 @@ def test_assign_weights_matches_scratch_recomputation():
 
     for s in cx.simplexes:
         if s.dimension == 1:
-            assert cx.weight_of(s.vertices) == pytest.approx(raw[s.vertices], rel=1e-13)
+            assert weight_of(cx, s.vertices) == pytest.approx(raw[s.vertices], rel=1e-13)
         elif s.dimension == 2:
             expected = max(raw[s.vertices], *(raw[f.vertices] for f in s.facets()))
-            assert cx.weight_of(s.vertices) == pytest.approx(expected, rel=1e-13)
+            assert weight_of(cx, s.vertices) == pytest.approx(expected, rel=1e-13)
 
     again = assign_weights(complete_skeleton(5), ops)
     assert np.array_equal(cx.weights, again.weights)
@@ -205,7 +208,7 @@ def test_assign_weights_monotone_post_condition():
     assert cx.is_monotone()
     for i, s in enumerate(cx.simplexes):
         for f in s.facets():
-            assert cx.weight_of(f.vertices) <= cx.weights[i]
+            assert weight_of(cx, f.vertices) <= cx.weights[i]
 
 
 def test_assign_weights_normalization_preserves_order():
@@ -224,6 +227,25 @@ def test_assign_weights_normalization_preserves_order():
 def test_assign_weights_operator_count_mismatch():
     with pytest.raises(ValueError, match="one operator per vertex"):
         assign_weights(complete_skeleton(3), identity_ops(2))
+
+
+def test_raw_weights_takes_the_operator_stack():
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=5, n_observations=20, r_max=3.0, sigma=0.1, seed=29)
+    )
+    stack, _ = operator_stack(data.samples)
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    skeleton = complete_skeleton(5)
+    assert np.array_equal(raw_weights(skeleton, stack), raw_weights(skeleton, ops))
+    negative, lopsided = stack.copy(), stack.copy()
+    negative[2, 0, :2] = [-0.5, 1.5]
+    lopsided[3, 1] *= 2.0
+    with pytest.raises(ValueError, match=r"^sample 2: operator entries must be nonnegative$"):
+        raw_weights(skeleton, negative)
+    with pytest.raises(ValueError, match=r"^sample 3: operator rows must sum to 1"):
+        raw_weights(skeleton, lopsided)
+    with pytest.raises(ValueError, match=r"shape \(n, L, L\)"):
+        raw_weights(skeleton, stack[:, :, 1:])
 
 
 def test_raw_weights_threads_match_serial():
@@ -352,9 +374,9 @@ def _tiny_complex(edge_w, tri_w):
 
 def test_enforce_lifts_low_triangle():
     cx = enforce_monotone(_tiny_complex([0.2, 0.05, 0.05], 0.1))
-    assert cx.weight_of((0, 1, 2)) == 0.2
-    assert cx.weight_of((0, 1)) == 0.2
-    assert cx.weight_of((0, 2)) == 0.05
+    assert weight_of(cx, (0, 1, 2)) == 0.2
+    assert weight_of(cx, (0, 1)) == 0.2
+    assert weight_of(cx, (0, 2)) == 0.05
 
 
 def test_enforce_keeps_monotone_complex():
@@ -491,7 +513,7 @@ def test_facet_table_matches_simplex_facets(cx):
         k = len(s.vertices)
         assert cx.vertices[i].tolist() == list(s.vertices) + [-1] * (3 - k)
         assert cx.dims[i] == s.dimension
-        expected = [cx.position(f.vertices) for f in s.facets()]
+        expected = [position(cx, f.vertices) for f in s.facets()]
         assert cx.facets[i].tolist() == expected + [-1] * (3 - len(expected))
 
 
@@ -800,6 +822,17 @@ def test_complex_csv_rejects_a_dim_outside_0_to_2(tmp_path):
     p.write_text("dim,v0,v1,v2,weight\n0,0,,,0.0\n3,0,1,2,0.5\n")
     message = r"^malformed complex CSV row: \['3', '0', '1', '2', '0.5'\]$"
     with pytest.raises(ValueError, match=message):
+        read_complex_csv(p)
+
+
+@pytest.mark.parametrize(
+    "row", ["1,0,x,,0.5", "1,0,1,,heavy", "1,0,1,0.5", "2,0,1,2,0.5,7", "1,0,-,,0.5"]
+)
+def test_complex_csv_names_the_row_that_does_not_parse(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"dim,v0,v1,v2,weight\n0,0,,,0.0\n0,1,,,0.0\n{row}\n2,0,1,2,x\n")
+    message = re.escape(f"malformed complex CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         read_complex_csv(p)
 
 

@@ -1,19 +1,22 @@
 """Tests for affinities and the two-step normalized diffusion operator."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from topodist.complexes import assign_weights, complete_skeleton
+from topodist.complexes import assign_weights, complete_skeleton, raw_weights
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
 from topodist.diffusion import (
     AffinityMatrix,
     DiffusionOperator,
+    _affinity_stack,
     affinity,
     diffusion_operator,
     median_scale,
+    operator_stack,
     pairwise_distances,
     sample_diffusion_operator,
 )
@@ -331,3 +334,66 @@ def test_duplicate_observations_give_valid_operators_and_weights(samples):
     else:
         cx = assign_weights(complete_skeleton(3), ops)
         assert np.isfinite(cx.weights).all()
+
+
+# ---------------------------------------------------------------------------
+# the operator stack of a dataset
+
+
+@st.composite
+def sample_sets(draw) -> list[Sample]:
+    """Samples of one observation count, each of its own dimension and
+    scale, with planted duplicate rows and sometimes a far outlier."""
+    size = draw(st.integers(2, 12))
+    rows = st.integers(0, size - 1)
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        x = rng.normal(size=(size, draw(st.integers(1, 4))))
+        x *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=size)):
+            x[dst] = x[src]
+        if draw(st.booleans()):
+            x[draw(rows), 0] = 60.0 * np.abs(x).max()
+        assume((x != x[0]).any())
+        samples.append(Sample(x))
+    return samples
+
+
+def distinct_points(points: int) -> list[Sample]:
+    """One sample of ``points`` distinct observations: C(points, 2) distances."""
+    return [Sample(np.arange(2.0 * points).reshape(points, 2) ** 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_sets(), st.floats(0.1, 10.0))
+@example(distinct_points(3), 1.0)  # 3 positive distances: the middle one is the median
+@example(distinct_points(4), 2.5)  # 6 positive distances: the mean of the middle two
+def test_operator_stack_equals_the_per_sample_chain(samples, factor):
+    stack, epsilon = operator_stack(samples, factor)
+    oracle = [sample_diffusion_operator(s, factor).entries for s in samples]
+    assert np.array_equal(stack, np.stack(oracle))
+    scales = [median_scale(pairwise_distances(s), factor) for s in samples]
+    assert epsilon.tolist() == scales
+    w, _ = _affinity_stack(samples, factor)
+    affinities = [affinity(pairwise_distances(s), e).entries for s, e in zip(samples, scales)]
+    assert np.array_equal(w, np.stack(affinities))
+
+
+def test_operator_stack_names_the_first_sample_whose_observations_coincide():
+    spread, flat = Sample(np.arange(6.0).reshape(3, 2)), Sample(np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^sample 1: no pairwise distance is positive"):
+        operator_stack([spread, flat, spread, flat])
+    with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
+        operator_stack([spread, Sample(np.arange(8.0).reshape(4, 2))])
+    with pytest.raises(ValueError, match="factor"):
+        operator_stack([spread], 0.0)
+
+
+def test_no_samples_give_an_empty_stack_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack, epsilon = operator_stack([])
+        assert stack.shape == (0, 0, 0) and epsilon.shape == (0,)
+        assert raw_weights([], stack).shape == (0,)
+        assert raw_weights([], []).shape == (0,)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2 import betti, diagram_oracle, standard_reduction
+from reference_complexes import position
 from topodist.complexes import (
     Simplex,
     WeightedComplex,
@@ -339,7 +340,7 @@ def test_reduction_needs_cohomology_column_additions():
     m = boundary_matrix(cx, filtration_order(cx))
     red = reduce_matrix(m)
     assert red == standard_reduction(m)
-    edge, triangle = cx.position((0, 3)), cx.position((0, 1, 2))
+    edge, triangle = position(cx, (0, 3)), position(cx, (0, 1, 2))
     assert (edge, triangle) in red.pairs
     assert persistence_diagrams(cx)[1].points() == [(4.0, 7.0), (5.0, 6.0)]
 
