@@ -88,7 +88,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-value", type=float, default=None)
     p.add_argument(
         "--normalize", action=argparse.BooleanOptionalAction, default=None,
-        help="divide weights by their median before filtering",
+        help="divide weights by the median of the monotone weights before filtering",
     )
     p.add_argument(
         "--weights", choices=["alternating", "cross-correlation"], default=None,

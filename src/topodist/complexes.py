@@ -276,17 +276,22 @@ def _centered(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _triangle_groups(
-    vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray
+    vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Edges and triangles of a facet table, and the groups of triangles.
 
     Returns the positions of the edges and of the triangles in skeleton
-    order, and one ``(lo, hi, a, b, ab, c, bc, ac)`` per run
+    order, and one ``(lo, hi, a, b, ab, c, bc, ac, pad)`` per run
     ``triangles[lo:hi]`` sharing a first edge: vertices ``a``, ``b`` and the
     rank ``ab`` of that edge among ``edges`` are fixed, while the run's
     vertices ``c`` and edge ranks ``bc`` and ``ac`` come as a slice where
     each is one more than the one before it, as in a complete skeleton, and
     as an array of them elsewhere.
+
+    With ``keep``, a mask over ``triangles``, only the kept triangles are
+    grouped, ``lo:hi`` counts kept triangles, and each group lies within one
+    run of the whole table.  ``pad`` marks a group of one triangle cut from
+    a longer run.
     """
     edges = np.flatnonzero(dims == 1)
     triangles = np.flatnonzero(dims == 2)
@@ -294,7 +299,11 @@ def _triangle_groups(
     rank[edges] = np.arange(len(edges))
     a, b, c = vertices[triangles].T
     bc, ac, ab = rank[facets[triangles]].T
-    bounds = np.flatnonzero(np.diff(ab, prepend=-1, append=-1))
+    run = np.cumsum(np.diff(ab, prepend=-1) != 0)
+    longer = np.bincount(run) > 1
+    if keep is not None:
+        a, b, c, ab, bc, ac, run = (x[keep] for x in (a, b, c, ab, bc, ac, run))
+    bounds = np.flatnonzero(np.diff(run, prepend=-1, append=-1))
     starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
 
     def stacked(ids: np.ndarray) -> list[slice | np.ndarray]:
@@ -310,8 +319,58 @@ def _triangle_groups(
         starts, ends,
         *(x[starts].tolist() for x in (a, b, ab)),
         *(stacked(x) for x in (c, bc, ac)),
+        ((np.diff(bounds) == 1) & longer[run[starts]]).tolist(),
     )
     return edges, triangles, list(groups)
+
+
+# a triangle is certified when its bound clears the level that matters by
+# this relative margin, far above the rounding of the bound and of the weight
+_MARGIN = 1e-10
+# bytes of each gathered operand stack of the edge products and of the bound
+_CHUNK_BYTES = 1 << 18
+
+
+def _subspace(g: np.ndarray) -> np.ndarray:
+    """An ``L x k`` matrix with orthonormal columns, ``k = ceil(sqrt(L))``,
+    near the dominant column space of the sum of the centered stack ``g``.
+
+    A fixed-seed Gaussian range finder with two power steps (Halko,
+    Martinsson & Tropp 2011) costs ``O(n L^2 + L^2 k)``.  The columns decide
+    only which triangles :func:`_certified` can skip, never a weight.
+    """
+    size = g.shape[1]
+    s = g.sum(axis=0)
+    y = s @ np.random.default_rng(0).standard_normal((size, math.isqrt(size - 1) + 1))
+    for _ in range(2):
+        y = s @ (s.T @ np.linalg.qr(y)[0])
+    return np.linalg.qr(y)[0]
+
+
+def _certified(
+    g: np.ndarray, pairs: np.ndarray, corners: np.ndarray, sides: np.ndarray, need: np.ndarray
+) -> np.ndarray:
+    """Mask of the triangles whose centered triple operator ``M = Z + Z^T``
+    provably has a Frobenius norm of at least ``need``.
+
+    Triangle ``t`` has vertices ``corners[t] = (a, b, c)`` and edge ranks
+    ``sides[t] = (bc, ac, ab)`` into ``pairs``.  For ``Q`` from
+    :func:`_subspace`, ``||Q^T M Q|| <= ||M||``, and
+    ``Q^T Z Q = H_c D_ab + H_a D_bc + H_b D_ac`` with ``H = Q^T G`` per
+    sample and ``D = C Q`` per edge costs ``3 L k^2`` per triangle instead
+    of ``3 L^3``.  The bound must clear ``need`` by :data:`_MARGIN`.
+    """
+    q = _subspace(g)
+    h = np.matmul(q.T, g)
+    d = np.matmul(pairs, q)
+    squared = np.empty(len(need))
+    chunk = max(1, _CHUNK_BYTES // (3 * h[0].nbytes))
+    for lo in range(0, len(need), chunk):
+        t = slice(lo, lo + chunk)
+        # facet slot j drops vertex j: the products H_a D_bc, H_b D_ac, H_c D_ab
+        y = np.matmul(h[corners[t]], d[sides[t]]).sum(axis=1)
+        squared[t] = np.einsum("kij,kij->k", y, y) + np.einsum("kij,kji->k", y, y)
+    return 2.0 * squared >= ((1.0 + _MARGIN) * need) ** 2
 
 
 def raw_weights(
@@ -336,9 +395,10 @@ def raw_weights(
     a triangle, whose squared norm is ``2 ||Z||^2 + 2 <Z, Z^T>``.  So a
     triangle costs three L x L products and no simplex is centered.  Every
     triangle finds its edges in the facet table of the skeleton, so the
-    skeleton must be closed.  Useful on its own for weight
-    statistics; building a filtration should go through
-    :func:`assign_weights` instead.
+    skeleton must be closed.  This is the exact function, every triangle
+    weighed, for weight statistics; building a filtration should go
+    through :func:`assign_weights`, which skips the triangles whose weight
+    monotone repair overwrites.
 
     Each run of triangles that are listed one after another and share a
     first edge ``ab`` is weighed together: their ``G_c``, ``C_bc`` and
@@ -358,6 +418,17 @@ def raw_weights(
     benchmark's threading probe, which has not shown it faster than serial
     on two cores.
     """
+    return _weights(skeleton, operators, workers)
+
+
+def _weights(
+    skeleton: Sequence[Simplex],
+    operators: Sequence[DiffusionOperator] | np.ndarray,
+    workers: int | None = None,
+    certify: bool = False,
+) -> np.ndarray:
+    """:func:`raw_weights`; with ``certify``, triangles that monotone repair
+    provably lifts to their largest edge weight are left at 0 unweighed."""
     if isinstance(operators, np.ndarray):
         k = np.asarray(operators, dtype=np.float64)
         if k.ndim != 3 or k.shape[1] != k.shape[2]:
@@ -387,25 +458,42 @@ def raw_weights(
             first = skeleton[ids[zero].min()].vertices
             raise ValueError(f"{kind} {first}: {operator} operator {_ZERO}")
 
-    edges, triangles, groups = _triangle_groups(vertices, dims, facets)
+    edges = np.flatnonzero(dims == 1)
+    triangles = np.flatnonzero(dims == 2)
     pairs = np.empty((len(edges), size, size))
-    edge_norms = np.empty(len(edges))
     a, b = vertices[edges, :2].T
-    for e, (u, v) in enumerate(zip(a.tolist(), b.tolist())):
-        m = g[u] @ g[v].T
-        np.add(m, m.T, out=pairs[e])
-        edge_norms[e] = math.sqrt(np.vdot(pairs[e], pairs[e]))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
+    for lo in range(0, len(edges), step):
+        e = slice(lo, lo + step)
+        m = np.matmul(g[a[e]], g[b[e]].transpose(0, 2, 1))
+        np.add(m, m.transpose(0, 2, 1), out=pairs[e])
+    edge_norms = np.array([math.sqrt(np.vdot(p, p)) for p in pairs])
     guard(edges, edge_norms <= tol * norms[a] * norms[b], "edge", "pair")
     weights[edges] = 1.0 / edge_norms
 
+    keep = None
+    if certify and len(triangles):
+        # a triangle whose norm reaches 1 / (its largest edge weight) has a
+        # raw weight below that edge's, which monotone repair then gives it
+        rank = np.empty(len(dims), dtype=np.intp)
+        rank[edges] = np.arange(len(edges))
+        top = weights[facets[triangles]].max(axis=1)
+        keep = ~_certified(g, pairs, vertices[triangles], rank[facets[triangles]], 1.0 / top)
+        triangles = triangles[keep]
+    _, _, groups = _triangle_groups(vertices, dims, facets, keep)
     squared = np.empty(len(triangles))
 
-    def weigh(lo: int, hi: int, a: int, b: int, ab: int, c, bc, ac) -> None:
+    def weigh(lo: int, hi: int, a: int, b: int, ab: int, c, bc, ac, pad: bool) -> None:
         # each face's C multiplies the opposite vertex's G
         z = np.matmul(g[c], pairs[ab])
         z += np.matmul(g[a], pairs[bc])
         z += np.matmul(g[b], pairs[ac])
-        squared[lo:hi] = np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z)
+        if pad:
+            # einsum sums a one-matrix stack in another order (from L = 91),
+            # so a triangle cut from a longer run is summed as in that run
+            z = np.concatenate((z, z))
+        s = np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z)
+        squared[lo:hi] = s[: hi - lo]
 
     if workers is not None and workers > 1 and groups:
         # matrix products release the GIL, so threads buy real parallelism;
@@ -431,14 +519,23 @@ def assign_weights(
 
     Vertices weigh 0, edges and triangles get the centered inverse-Frobenius
     weights of :func:`raw_weights`, and the result is passed through
-    :func:`enforce_monotone`.  With ``normalize=True`` all weights are
-    divided by the median raw weight of the positive-dimension simplexes,
+    :func:`enforce_monotone`.  The result equals
+    ``enforce_monotone(WeightedComplex(skeleton, raw_weights(...)))`` bit
+    for bit, but a triangle is weighed only when a cheap lower bound on its
+    operator's norm (:func:`_certified`) cannot show that its raw weight
+    lies below its largest edge weight, the value repair gives it then.  A
+    zero-matrix triangle has bound 0 and so meets the same error as in
+    :func:`raw_weights`.  The bound holds ``(n + E) L k`` more values, for
+    ``E`` edges and ``k = ceil(sqrt(L))``.
+
+    With ``normalize=True`` all weights are divided by the median of the
+    monotone positive-dimension weights, the values the filtration sees,
     making weight scales comparable across datasets with different
     observation counts (the order within one filtration is unchanged).
     """
     skeleton = _facet_table(skeleton)
-    cx = WeightedComplex(skeleton, raw_weights(skeleton, operators))
-    return enforce_monotone(_median_normalized(cx) if normalize else cx)
+    cx = enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, operators, certify=True)))
+    return _median_normalized(cx) if normalize else cx
 
 
 def _median_normalized(cx: WeightedComplex) -> WeightedComplex:

@@ -55,23 +55,21 @@ class BoundaryMatrix:
     simplex's facets.  Each column must be strictly increasing and name only
     rows before its own position.
 
-    The columns are held flattened, read-only: ``lengths`` (rows per column)
-    and ``rows`` (all columns' rows, concatenated).  ``columns`` builds one
-    tuple per column from them when first read.
+    The columns are given and held flattened, as read-only copies:
+    ``lengths`` (rows per column) and ``rows`` (all columns' rows,
+    concatenated).  ``columns`` builds one tuple per column from them when
+    first read.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int]], order: Sequence[int]) -> None:
-        lengths = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
-        rows = np.fromiter(
-            itertools.chain.from_iterable(columns), dtype=np.int64, count=int(lengths.sum())
-        )
-        self._set_table(lengths, rows, tuple(order))
-
-    def _set_table(self, lengths: np.ndarray, rows: np.ndarray, order: tuple[int, ...]) -> None:
+    def __init__(self, lengths: Sequence[int], rows: Sequence[int], order: Sequence[int]) -> None:
+        lengths = np.array(lengths, dtype=np.int64).reshape(-1)
+        rows = np.array(rows, dtype=np.int64).reshape(-1)
+        self.lengths, self.rows, self.order = lengths, rows, tuple(order)
         n = len(lengths)
-        if n != len(order):
+        if n != len(self.order):
             raise ValueError("columns and order must be parallel")
-        self.lengths, self.rows, self.order = lengths, rows, order
+        if (lengths < 0).any() or lengths.sum() != len(rows):
+            raise ValueError("column lengths must be nonnegative and sum to the number of rows")
         owner = np.repeat(np.arange(n), lengths)
         # a row at or below its predecessor in the same column
         unsorted = owner[1:][(owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])]
@@ -164,9 +162,7 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
     # unused slots stay -1 and so sort to the front of each row
     rows = np.sort(np.where(facets >= 0, position[facets], -1), axis=1)
     used = rows >= 0
-    m = BoundaryMatrix.__new__(BoundaryMatrix)
-    m._set_table(used.sum(axis=1), rows[used], order)
-    return m
+    return BoundaryMatrix(used.sum(axis=1), rows[used], order)
 
 
 def _check_simplicial(m: BoundaryMatrix, starts: np.ndarray) -> None:

@@ -195,8 +195,8 @@ def cross_correlation_complex(
     edges, triangles = cx.dims == 1, cx.dims == 2
     weights[edges] = 1.0 / np.abs(r[edges, 0])
     weights[triangles] = 1.0 / np.sqrt((r[triangles] ** 2).sum(axis=1))
-    cx = WeightedComplex(cx.simplexes, weights)
-    return enforce_monotone(_median_normalized(cx) if normalize else cx)
+    cx = enforce_monotone(WeightedComplex(cx.simplexes, weights))
+    return _median_normalized(cx) if normalize else cx
 
 
 def _default_labels(datasets: Sequence[Dataset]) -> tuple[str, ...]:

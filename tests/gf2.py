@@ -9,7 +9,9 @@ then converted to diagram multiplicities by inclusion-exclusion over critical
 values.  Shares no code with the reduction under test.
 """
 
+import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -141,6 +143,14 @@ def diagram_oracle(cx: WeightedComplex, k: int) -> list[tuple[float, float]]:
         assert mult_inf >= 0
         points.extend([(values[i], math.inf)] * mult_inf)
     return sorted(points)
+
+
+def boundary_from_columns(columns: Sequence[Sequence[int]]) -> BoundaryMatrix:
+    """A :class:`BoundaryMatrix` from one row sequence per column, each
+    column its own simplex id in the filtration order."""
+    lengths = [len(column) for column in columns]
+    rows = list(itertools.chain.from_iterable(columns))
+    return BoundaryMatrix(lengths, rows, range(len(columns)))
 
 
 def standard_reduction(m: BoundaryMatrix) -> Reduction:

@@ -17,6 +17,7 @@ from reference_complexes import (
     weight_of,
     write_complex_csv_reference,
 )
+import topodist.complexes as complexes
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
 from topodist.complexes import (
     Simplex,
@@ -673,8 +674,8 @@ def test_a_complete_skeleton_gives_one_view_per_first_edge():
     assert [skeleton[i].vertices for i in edges] == edge_list
     assert [skeleton[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
     assert [(a, b) for _, _, a, b, *_ in groups] == list(itertools.combinations(range(n - 1), 2))
-    for lo, hi, a, b, ab, c, bc, ac in groups:
-        assert all(isinstance(run, slice) for run in (c, bc, ac))
+    for lo, hi, a, b, ab, c, bc, ac, pad in groups:
+        assert all(isinstance(run, slice) for run in (c, bc, ac)) and not pad
         assert [skeleton[i].vertices for i in triangles[lo:hi]] == [
             (a, b, v) for v in range(n)[c]
         ]
@@ -702,7 +703,7 @@ def test_a_run_out_of_order_is_gathered():
     assert np.array_equal(weights, [by_simplex[s] for s in shuffled])
     cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
     _, _, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
-    (_, _, _, _, _, c, bc, ac), = [g for g in groups if g[2:4] == (0, 1)]
+    (_, _, _, _, _, c, bc, ac, _), = [g for g in groups if g[2:4] == (0, 1)]
     assert c.tolist() == [2, 4, 3, 5]
     assert not any(isinstance(run, slice) for run in (bc, ac))
 
@@ -738,6 +739,200 @@ def test_no_operators():
         raw_weights([Simplex((0,))], [])
     with pytest.raises(ValueError, match=message):
         assign_weights([Simplex((0,))], [])
+
+
+# ---------------------------------------------------------------------------
+# assign_weights skips the triangles that monotone repair provably overwrites
+
+
+def monotone_raw(skeleton, ops) -> np.ndarray:
+    """What assign_weights must return: repair over every exact raw weight."""
+    return enforce_monotone(WeightedComplex(skeleton, raw_weights(skeleton, ops))).weights
+
+
+def rank_one_operator(size: int, scale: float) -> np.ndarray:
+    """``11^T / L + scale u u^T`` for the alternating unit vector ``u``: its
+    centered operator is ``scale u u^T``, shared up to scale by every such
+    operator of one size.  Row-stochastic for an even size and ``|scale| <= 1``.
+
+    For three of them with scales ``|x| <= |y| <= |z|`` the triangle weighs
+    ``1 / (12 |x y z|)`` and its largest edge ``1 / (2 |x y|)``: a scale of
+    1/6 on the third vertex ties them, a larger one puts the triangle below.
+    """
+    u = np.resize([1.0, -1.0], size) / np.sqrt(size)
+    return np.full((size, size), 1.0 / size) + scale * np.outer(u, u)
+
+
+SCALES = (1 / 8, 1 / 6, -1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2, 0.9)
+
+
+@st.composite
+def weighed_skeletons(draw):
+    """A complete or grid skeleton and one operator per vertex, each either a
+    rank-one operator of :func:`rank_one_operator` (ties included) or a
+    random row-stochastic one."""
+    if draw(st.booleans()):
+        skeleton = complete_skeleton(draw(st.integers(3, 7)))
+    else:
+        skeleton = grid_skeleton(draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    n = int(skeleton.vertices.max()) + 1
+    size = draw(st.sampled_from((2, 4, 6, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ops = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            ops.append(rank_one_operator(size, draw(st.sampled_from(SCALES))))
+        else:
+            k = rng.random((size, size)) ** draw(st.sampled_from((1, 8)))
+            ops.append(k / k.sum(axis=1, keepdims=True))
+    return skeleton, np.array(ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighed_skeletons())
+def test_assign_weights_equals_repair_over_the_exact_raw_weights(case):
+    skeleton, ops = case
+    try:
+        want = monotone_raw(skeleton, ops)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            assign_weights(skeleton, ops)
+        return
+    assert np.array_equal(assign_weights(skeleton, ops).weights, want)
+
+
+def spy_certified(monkeypatch) -> list[np.ndarray]:
+    """Record each mask the certification returns."""
+    masks, certified = [], complexes._certified
+
+    def spy(*args):
+        masks.append(certified(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(complexes, "_certified", spy)
+    return masks
+
+
+@pytest.mark.parametrize("size", [2, 4, 10, 16])
+def test_a_tie_with_the_largest_edge_weight_is_weighed(monkeypatch, size):
+    # the shared direction u is in the subspace, so the bound is the norm up
+    # to rounding; within the margin the triangle must reach the exact kernel
+    scales = (1 / 8, 1 / 7, 1 / 6, 1 / 5, -1 / 6, 1 / 6, 1 / 4, 1 / 6, -1 / 8)
+    ops = np.array([rank_one_operator(size, x) for x in scales])
+    skeleton = complete_skeleton(len(scales))
+    masks = spy_certified(monkeypatch)
+    got = assign_weights(skeleton, ops).weights
+    assert np.array_equal(got, monotone_raw(skeleton, ops))
+    a, b, c = skeleton.vertices[skeleton.dims == 2].T
+    x, y, z = np.sort(np.abs(np.array(scales)[[a, b, c]]), axis=0)
+    ties, below = z == 1 / 6, z > 1 / 6
+    assert ties.any() and below.any()
+    (mask,) = masks
+    assert not mask[ties].any()
+    assert mask[below].all()
+
+
+def full_basis(size: int):
+    """A random orthogonal ``L x L`` basis, for which the bound is the norm."""
+    q = np.linalg.qr(np.random.default_rng(size).normal(size=(size, size)))[0]
+    return lambda g: q
+
+
+def test_with_a_full_basis_every_triangle_clearly_below_its_edges_is_skipped(monkeypatch):
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=8, n_observations=24, r_max=15.0, sigma=0.1, seed=83)
+    )
+    ops, _ = operator_stack(data.samples)
+    skeleton = complete_skeleton(8)
+    monkeypatch.setattr(complexes, "_subspace", full_basis(24))
+    masks = spy_certified(monkeypatch)
+    got = assign_weights(skeleton, ops).weights
+    assert np.array_equal(got, monotone_raw(skeleton, ops))
+    cx = WeightedComplex(skeleton, raw_weights(skeleton, ops))
+    triangles = cx.dims == 2
+    raw, top = cx.weights[triangles], cx.weights[cx.facets[triangles]].max(axis=1)
+    low = raw < top * (1 - 1e-9)
+    # a spread of edge weights: the largest, not the smallest, decides
+    assert (low & (raw > cx.weights[cx.facets[triangles]].min(axis=1))).any()
+    (mask,) = masks
+    assert mask[low].all()
+    assert not mask[raw > top * (1 - 1e-11)].any()
+
+
+def test_the_bound_never_exceeds_the_exact_norm():
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=7, n_observations=16, r_max=15.0, sigma=0.1, seed=89)
+    )
+    torus, _ = operator_stack(data.samples)
+    # rank-one operators put every triple operator in the subspace: tight
+    scales = (1 / 8, 1 / 6, 1 / 5, 1 / 3, 1 / 2, 0.9, -0.4)
+    rank_one = np.array([rank_one_operator(16, x) for x in scales])
+    skeleton = complete_skeleton(7)
+    for ops, tight in ((torus, False), (rank_one, True)):
+        cx = WeightedComplex(skeleton, raw_weights(skeleton, ops))
+        triangles = cx.dims == 2
+        g, _ = complexes._centered(ops)
+        a, b = cx.vertices[cx.dims == 1, :2].T
+        pairs = np.matmul(g[a], g[b].transpose(0, 2, 1))
+        pairs += pairs.transpose(0, 2, 1).copy()
+        rank = np.cumsum(cx.dims == 1) - 1
+        args = (g, pairs, cx.vertices[triangles], rank[cx.facets[triangles]])
+        norm = 1.0 / cx.weights[triangles]
+        assert not complexes._certified(*args, norm * (1 + 1e-6)).any()
+        assert complexes._certified(*args, norm * (1 - 1e-3)).all() == tight
+
+
+@pytest.mark.parametrize("size", [2, 3, 16, 17, 100])
+def test_the_subspace_has_ceil_sqrt_l_orthonormal_columns(size):
+    k = np.random.default_rng(size).random((3, size, size))
+    for ops in (k / k.sum(axis=2, keepdims=True), [rank_one_operator(2 * size, 0.3)] * 2):
+        q = complexes._subspace(complexes._centered(np.asarray(ops))[0])
+        side = q.shape[0]
+        assert q.shape == (side, int(np.ceil(np.sqrt(side))))
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+
+
+def test_a_triangle_cut_alone_from_a_longer_run_keeps_its_bits(monkeypatch):
+    # at L = 100 einsum sums a one-matrix stack in another order than a
+    # longer one, so the lone kept triangle of a run is weighed in two rows
+    data = generate_torus_dataset(
+        TorusSpec(m=8, n_samples=5, n_observations=100, r_max=15.0, sigma=0.1, seed=8)
+    )
+    ops, _ = operator_stack(data.samples)
+    skeleton = complete_skeleton(5)
+    groups, triangle_groups = [], complexes._triangle_groups
+
+    def spy(*args):
+        groups.append(triangle_groups(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(complexes, "_triangle_groups", spy)
+    got = assign_weights(skeleton, ops).weights
+    assert any(pad for *_, pad in groups[-1][2])
+    assert np.array_equal(got, monotone_raw(skeleton, ops))
+
+
+def test_assign_weights_names_the_first_zero_triangle_in_skeleton_order():
+    # as test_the_triangle_error_names_the_first_zero_triangle_in_skeleton_order:
+    # a zero triangle has bound 0, so it is never skipped past its guard
+    cycles = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ops = [DiffusionOperator(np.eye(3)[list(p)]) for p in cycles * 2]
+    skeleton = [s for s in complete_skeleton(6) if s.dimension < 2]
+    skeleton += [Simplex((3, 4, 5)), Simplex((0, 1, 2))]
+    with pytest.raises(ValueError, match=r"^triangle \(3, 4, 5\): .*zero matrix"):
+        assign_weights(skeleton, ops)
+
+
+def test_normalize_divides_by_the_median_of_the_monotone_weights():
+    data = generate_torus_dataset(
+        TorusSpec(m=4, n_samples=6, n_observations=20, r_max=2.0, sigma=0.1, seed=97)
+    )
+    ops, _ = operator_stack(data.samples)
+    skeleton = complete_skeleton(6)
+    monotone = assign_weights(skeleton, ops).weights
+    median = np.median(monotone[skeleton.dims > 0])
+    assert np.median(raw_weights(skeleton, ops)[skeleton.dims > 0]) != median
+    assert np.array_equal(assign_weights(skeleton, ops, normalize=True).weights, monotone / median)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gf2 import betti, diagram_oracle, standard_reduction
+from gf2 import betti, boundary_from_columns, diagram_oracle, standard_reduction
 from reference_complexes import position
 from topodist.complexes import (
     Simplex,
@@ -150,7 +150,13 @@ def test_boundary_rejects_non_permutation():
 )
 def test_boundary_matrix_rejects_bad_columns(columns, message):
     with pytest.raises(ValueError, match=message):
-        BoundaryMatrix(columns, tuple(range(len(columns))))
+        boundary_from_columns(columns)
+
+
+@pytest.mark.parametrize("lengths, rows", [([2], [0]), ([-1, 1], [0]), ([0, 1], [0, 0])])
+def test_boundary_matrix_rejects_lengths_that_do_not_cover_the_rows(lengths, rows):
+    with pytest.raises(ValueError, match="sum to the number of rows"):
+        BoundaryMatrix(lengths, rows, range(len(lengths)))
 
 
 @pytest.mark.parametrize(
@@ -165,7 +171,7 @@ def test_boundary_matrix_rejects_bad_columns(columns, message):
     ],
 )
 def test_reduce_matrix_rejects_non_simplicial_columns(columns, bad):
-    m = BoundaryMatrix(columns, tuple(range(len(columns))))
+    m = boundary_from_columns(columns)
     with pytest.raises(ValueError, match=f"column {bad} "):
         reduce_matrix(m)
 
