@@ -115,6 +115,8 @@ class PersistencePair:
     def __post_init__(self) -> None:
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
+        if not math.isfinite(self.birth):
+            raise ValueError(f"birth must be finite, got {self.birth}")
         if not self.birth <= self.death:
             raise ValueError(f"birth {self.birth} exceeds death {self.death}")
 
@@ -363,9 +365,12 @@ def read_diagrams_csv(
                 continue
             if len(row) != 3:
                 raise ValueError(f"malformed diagram CSV row: {row}")
-            degree = int(row[0])
-            birth = float(row[1])
-            death = math.inf if row[2] == "inf" else float(row[2])
+            try:
+                degree = int(row[0])
+                birth = float(row[1])
+                death = math.inf if row[2] == "inf" else float(row[2])
+            except ValueError:
+                raise ValueError(f"malformed diagram CSV row: {row}") from None
             pair = PersistencePair(
                 degree, birth, death, birth_simplex=-1,
                 death_simplex=None if math.isinf(death) else -1,

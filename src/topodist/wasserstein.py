@@ -2,12 +2,20 @@
 
 Each point of one diagram may match a point of the other diagram or slide to
 its own projection on the diagonal x = y; the distance is the p-th root of
-the minimal total p-th-power movement.  The matching is solved exactly as a
-balanced assignment problem (the formulation of Kerber, Morozov & Nigmetov,
-"Geometry helps to compare persistence diagrams"): an (n1 + n2) square cost
-matrix where every real point also owns one diagonal slot and
-diagonal-to-diagonal cells cost 0.  The matrix is filled from the points as
-(n, 2) arrays: one broadcast distance block and two diagonals of gaps.
+the minimal total p-th-power movement.  The matching is solved exactly as one
+square assignment of size max(n1, n2), filled from the points as (n, 2)
+arrays.  The smaller diagram goes on the rows and is padded with dummy rows:
+a real cell costs ``min(d(a, b)^p, gap(a)^p + gap(b)^p)`` and a dummy row
+costs ``gap(b)^p`` against each column b.  ``d(a, b)^p`` is taken as
+``(dx^2 + dy^2)^(p/2)``, which needs no ``hypot``.
+
+The optimum equals that of the (n1 + n2) formulation of Kerber, Morozov &
+Nigmetov ("Geometry helps to compare persistence diagrams"), where every
+point owns one diagonal slot.  Any partial matching becomes a bijection that
+costs no more: unmatched points are paired arbitrarily, each such pair
+costing at most its gap sum, and the columns left over take the dummy rows.
+Any bijection reads back as a partial matching of the same cost: a pair whose
+``min`` took the gap sum sends both points to the diagonal.
 """
 
 from __future__ import annotations
@@ -108,6 +116,10 @@ def _resolved_points(
     diagram: PersistenceDiagram, spec: DiagramDistanceSpec
 ) -> np.ndarray:
     """(n, 2) finite (birth, death) rows in pair order, after the infinite policy."""
+    if diagram.degree != spec.degree:
+        raise ValueError(
+            f"diagram degree {diagram.degree} does not match spec degree {spec.degree}"
+        )
     pts = np.array([(p.birth, p.death) for p in diagram.pairs], dtype=np.float64)
     pts = pts.reshape(-1, 2)
     infinite = np.isinf(pts[:, 1])
@@ -125,29 +137,35 @@ def _resolved_points(
 def wasserstein(
     pd1: PersistenceDiagram, pd2: PersistenceDiagram, spec: DiagramDistanceSpec
 ) -> float:
-    """Exact p-Wasserstein distance between two diagrams of ``spec.degree``."""
-    for dg in (pd1, pd2):
-        if dg.degree != spec.degree:
-            raise ValueError(f"diagram degree {dg.degree} does not match spec degree {spec.degree}")
-    a = _resolved_points(pd1, spec)
-    b = _resolved_points(pd2, spec)
+    """Exact p-Wasserstein distance between two diagrams of ``spec.degree``.
+
+    The smaller diagram, padded with dummy rows, is matched to the larger in
+    one max(n1, n2) square assignment: a real cell costs
+    ``min(d(a, b)^p, gap(a)^p + gap(b)^p)`` and a dummy row ``gap(b)^p``.
+    A partial matching becomes a bijection of no greater cost by pairing its
+    unmatched points, and a bijection reads back as a partial matching of the
+    same cost (a cell that took the gap sum sends both points to the
+    diagonal), so the two optima are equal.
+    """
+    return _distance(_resolved_points(pd1, spec), _resolved_points(pd2, spec), spec.p)
+
+
+def _distance(a: np.ndarray, b: np.ndarray, p: float) -> float:
+    """p-Wasserstein distance between (n, 2) arrays of finite points."""
+    if len(a) > len(b):
+        a, b = b, a
     n1, n2 = len(a), len(b)
-    if n1 == 0 and n2 == 0:
+    if n2 == 0:
         return 0.0
-
-    cost = np.zeros((n1 + n2, n1 + n2))
-    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
-    cost[:n1, :n2] = np.hypot(diff[..., 0], diff[..., 1]) ** spec.p
-    # each real point owns one diagonal slot; foreign slots are forbidden
-    cost[:n1, n2:] = np.inf
-    cost[n1:, :n2] = np.inf
-    cost[np.arange(n1), n2 + np.arange(n1)] = _gap(a[:, 0], a[:, 1]) ** spec.p
-    cost[n1 + np.arange(n2), np.arange(n2)] = _gap(b[:, 0], b[:, 1]) ** spec.p
-    # diagonal-to-diagonal cells (bottom-right block) stay 0
-
+    gap_a = _gap(a[:, 0], a[:, 1]) ** p
+    gap_b = _gap(b[:, 0], b[:, 1]) ** p
+    dx = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    cost = np.empty((n2, n2))
+    np.minimum((dx * dx + dy * dy) ** (p / 2), np.add.outer(gap_a, gap_b), out=cost[:n1])
+    cost[n1:] = gap_b
     rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    return total ** (1.0 / spec.p)
+    return float(cost[rows, cols].sum()) ** (1.0 / p)
 
 
 def distance_matrix(
@@ -159,13 +177,15 @@ def distance_matrix(
     n = len(diagrams)
     if labels is None:
         labels = [f"dataset_{i}" for i in range(n)]
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"{n} rows but {len(labels)} labels")
+    points = [_resolved_points(dg, spec) for dg in diagrams]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = wasserstein(diagrams[i], diagrams[j], spec)
-            out[i, j] = d
-            out[j, i] = d
-    return DatasetDistanceMatrix(out, tuple(labels))
+            out[i, j] = out[j, i] = _distance(points[i], points[j], spec.p)
+    return DatasetDistanceMatrix(out, labels)
 
 
 def write_distance_csv(m: DatasetDistanceMatrix, path: str | Path) -> None:

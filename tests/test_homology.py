@@ -1,6 +1,7 @@
 """Tests for boundary matrices, Z2 reduction, and persistence diagrams."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -409,6 +410,24 @@ def test_pair_validation():
         PersistencePair(0, 2.0, 1.0, 0)
     with pytest.raises(ValueError, match="degree-1"):
         PersistenceDiagram(0, (PersistencePair(1, 0.0, 1.0, 0, 1),))
+
+
+@pytest.mark.parametrize("birth, death", [("-inf", "2.0"), ("nan", "2.0"), ("inf", "inf")])
+def test_non_finite_birth_rejected_by_name(tmp_path, birth, death):
+    # such a row used to reach the Wasserstein solver as an infeasible cost matrix
+    p = tmp_path / "d.csv"
+    p.write_text(f"degree,birth,death\n1,{birth},{death}\n")
+    with pytest.raises(ValueError, match=f"^birth must be finite, got {birth}$"):
+        read_diagrams_csv(p)
+
+
+@pytest.mark.parametrize("row", ["x,0.0,1.0", "1,zero,1.0", "1,0.0,never"])
+def test_diagram_csv_names_the_malformed_row(tmp_path, row):
+    p = tmp_path / "d.csv"
+    p.write_text(f"degree,birth,death\n0,0.0,inf\n{row}\n")
+    message = re.escape(f"malformed diagram CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_diagrams_csv(p)
 
 
 def test_diagram_csv_round_trip(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for diagram Wasserstein distances and distance matrices."""
 
+import importlib
 import math
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from topodist.homology import PersistenceDiagram, PersistencePair
 from topodist.wasserstein import (
@@ -44,6 +46,28 @@ def exhaustive_wasserstein(pts1, pts2, p: float) -> float:
     return best ** (1.0 / p)
 
 
+def kmn_wasserstein(pts1, pts2, p: float) -> float:
+    """The (n1 + n2) assignment of Kerber, Morozov & Nigmetov, the reference formulation.
+
+    Every real point owns one diagonal slot, foreign slots are forbidden and
+    diagonal-to-diagonal cells cost 0.
+    """
+    a = np.array(pts1, dtype=np.float64).reshape(-1, 2)
+    b = np.array(pts2, dtype=np.float64).reshape(-1, 2)
+    n1, n2 = len(a), len(b)
+    if n1 == 0 and n2 == 0:
+        return 0.0
+    cost = np.zeros((n1 + n2, n1 + n2))
+    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
+    cost[:n1, :n2] = np.hypot(diff[..., 0], diff[..., 1]) ** p
+    cost[:n1, n2:] = np.inf
+    cost[n1:, :n2] = np.inf
+    cost[np.arange(n1), n2 + np.arange(n1)] = ((a[:, 1] - a[:, 0]) / math.sqrt(2.0)) ** p
+    cost[n1 + np.arange(n2), np.arange(n2)] = ((b[:, 1] - b[:, 0]) / math.sqrt(2.0)) ** p
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum()) ** (1.0 / p)
+
+
 def diagram(points, degree: int = 1) -> PersistenceDiagram:
     pairs = tuple(
         PersistencePair(
@@ -65,6 +89,8 @@ def random_points(rng: np.random.Generator, max_points: int) -> list:
 
 
 SPEC2 = DiagramDistanceSpec(p=2.0, degree=1)
+# the package re-exports the function ``wasserstein`` under the module's name
+WASSERSTEIN_MODULE = importlib.import_module("topodist.wasserstein")
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +159,60 @@ def test_matches_exhaustive_on_drawn_diagrams(pts1, pts2, p):
     spec = DiagramDistanceSpec(p=p, degree=1)
     got = wasserstein(diagram(pts1), diagram(pts2), spec)
     assert got == pytest.approx(exhaustive_wasserstein(pts1, pts2, p), abs=1e-9)
+
+
+_CAP = 5.0
+# an infinite death is drawn as lifetime inf; drop removes it, cap moves it to _CAP
+_POINTS_WITH_ESSENTIAL = st.lists(
+    st.tuples(_BIRTHS, _LIFETIMES | st.just(math.inf)).map(lambda t: (t[0], t[0] + t[1])),
+    max_size=9,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pts1=_POINTS_WITH_ESSENTIAL,
+    pts2=_POINTS_WITH_ESSENTIAL,
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+    policy=st.sampled_from(["drop", "cap"]),
+)
+def test_matches_the_n1_plus_n2_assignment(pts1, pts2, p, policy):
+    spec = DiagramDistanceSpec(p=p, degree=1, infinite_policy=policy, cap_value=_CAP)
+
+    def resolved(pts):
+        if policy == "drop":
+            return [pt for pt in pts if math.isfinite(pt[1])]
+        return [(b, min(d, _CAP)) for b, d in pts]
+
+    want = kmn_wasserstein(resolved(pts1), resolved(pts2), p)
+    assert wasserstein(diagram(pts1), diagram(pts2), spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_each_solve_is_one_square_of_the_larger_size(monkeypatch):
+    shapes = []
+
+    def spy(cost):
+        shapes.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(WASSERSTEIN_MODULE, "linear_sum_assignment", spy)
+    small = diagram([(0.0, 1.0), (0.5, 0.6)])
+    large = diagram([(0.1, 0.9), (0.2, 2.0), (1.0, 1.5), (0.0, 0.3), (0.4, 0.4)])
+    wasserstein(small, large, SPEC2)
+    wasserstein(large, small, SPEC2)
+    wasserstein(diagram([]), diagram([]), SPEC2)
+    distance_matrix([small, large, diagram([])], SPEC2)
+    assert shapes == [(5, 5), (5, 5), (5, 5), (2, 2), (5, 5)]
+
+
+def test_distance_matrix_checks_labels_before_solving(monkeypatch):
+    def refuse(cost):
+        raise AssertionError("solved before the labels were checked")
+
+    monkeypatch.setattr(WASSERSTEIN_MODULE, "linear_sum_assignment", refuse)
+    dgs = [diagram([(0.0, 1.0)]), diagram([(0.5, 2.0)]), diagram([(0.2, 0.4)])]
+    with pytest.raises(ValueError, match="^3 rows but 2 labels$"):
+        distance_matrix(dgs, SPEC2, labels=["a", "b"])
 
 
 def test_exhaustive_equivalence_six_points():
@@ -246,6 +326,22 @@ def test_matrix_matches_single_calls_and_triangle():
     assert m.entries[0, 2] <= m.entries[0, 1] + m.entries[1, 2] + 1e-9
     assert np.array_equal(m.entries, m.entries.T)
     assert m.labels == ("a", "b", "c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.lists(_POINTS, min_size=1, max_size=5),
+    order=st.randoms(use_true_random=False),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+)
+def test_permuting_the_diagrams_permutes_the_matrix(pts, order, p):
+    spec = DiagramDistanceSpec(p=p, degree=1)
+    perm = list(range(len(pts)))
+    order.shuffle(perm)
+    dgs = [diagram(x) for x in pts]
+    m = distance_matrix(dgs, spec).entries
+    permuted = distance_matrix([dgs[k] for k in perm], spec).entries
+    np.testing.assert_allclose(permuted, m[np.ix_(perm, perm)], rtol=1e-12, atol=0.0)
 
 
 def test_distance_matrix_type_validation():
