@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from topodist.dataset import _readonly
-from topodist.diffusion import DiffusionOperator
+from topodist.diffusion import _EPS, DiffusionOperator
 
 __all__ = [
     "PairOperator",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_symmetric(entries: np.ndarray, what: str) -> None:

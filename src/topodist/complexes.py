@@ -26,8 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from topodist.alternating import _EPS
-from topodist.diffusion import DiffusionOperator, _check_stochastic
+from topodist.diffusion import (
+    _CHUNK_BYTES,
+    _EPS,
+    DiffusionOperator,
+    _Centered,
+    _centered,
+    _check_stochastic,
+)
 
 __all__ = [
     "Simplex",
@@ -256,25 +262,6 @@ def grid_skeleton(rows: int, cols: int) -> Skeleton:
 _ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
 
 
-def _centered(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``P K P`` for each operator of an ``(n, L, L)`` stack, and its
-    Frobenius norm: each ``K`` less its column means, then less its row means.
-
-    A result below the rounding level of its ``K`` is noise and comes back
-    as exact zeros, so every simplex on a sample whose rows are all equal
-    meets the zero-matrix check of :func:`raw_weights`.
-    """
-    if not k.size:  # no means to take, and numpy warns on an empty mean
-        return k.copy(), np.zeros(len(k))
-    g = k - k.mean(axis=1, keepdims=True)
-    g -= g.mean(axis=2, keepdims=True)
-    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
-    noise = norms <= k.shape[1] * _EPS * np.array([math.sqrt(np.vdot(x, x)) for x in k])
-    g[noise] = 0.0
-    norms[noise] = 0.0
-    return g, norms
-
-
 def _triangle_groups(
     vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -327,8 +314,6 @@ def _triangle_groups(
 # a triangle is certified when its bound clears the level that matters by
 # this relative margin, far above the rounding of the bound and of the weight
 _MARGIN = 1e-10
-# bytes of each gathered operand stack of the edge products and of the bound
-_CHUNK_BYTES = 1 << 18
 
 
 def _subspace(g: np.ndarray) -> np.ndarray:
@@ -407,28 +392,28 @@ def raw_weights(
     consecutively, which holds for every run of a skeleton in canonical
     (lexicographic vertex) order, as :func:`complete_skeleton` and
     :func:`grid_skeleton` give it, and gathered copies elsewhere.  Memory
-    held: the ``n L^2`` operator and centered stacks, the ``E L^2`` pair
-    stack for ``E`` edges, and ``3 k L^2`` temporaries for a run of ``k``
-    triangles, or ``6 k L^2`` when its three operand stacks are gathered.  When several
-    simplexes have a zero centered operator, the error names the first of
-    them in skeleton order.
+    held, beside the operators as given: their ``n L^2`` centered stack,
+    the ``E L^2`` pair stack for ``E`` edges, and ``3 k L^2`` temporaries
+    for a run of ``k`` triangles, or ``6 k L^2`` when its three operand
+    stacks are gathered.  When several simplexes have a zero centered
+    operator, the error names the first of them in skeleton order.
 
     ``workers`` > 1 weighs the runs on that many threads; the result does
     not depend on it.  No library function passes it: it exists for the
     benchmark's threading probe, which has not shown it faster than serial
     on two cores.
     """
-    return _weights(skeleton, operators, workers)
+    return _weights(skeleton, *_centered_operators(operators), workers)
 
 
-def _weights(
-    skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator] | np.ndarray,
-    workers: int | None = None,
-    certify: bool = False,
-) -> np.ndarray:
-    """:func:`raw_weights`; with ``certify``, triangles that monotone repair
-    provably lifts to their largest edge weight are left at 0 unweighed."""
+def _centered_operators(
+    operators: Sequence[DiffusionOperator] | np.ndarray | _Centered,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The centered stack ``G`` of ``operators`` and its norms: stacked,
+    checked and centered, or as given when already centered (the pipeline
+    builds them from the samples a block at a time, checking each block)."""
+    if isinstance(operators, _Centered):
+        return operators.g, operators.norms
     if isinstance(operators, np.ndarray):
         k = np.asarray(operators, dtype=np.float64)
         if k.ndim != 3 or k.shape[1] != k.shape[2]:
@@ -439,7 +424,20 @@ def _weights(
         if len(sizes) > 1:
             raise ValueError(f"operators disagree on size: {sorted(sizes)}")
         k = np.array([op.entries for op in operators]) if len(operators) else np.empty((0, 0, 0))
-    n = len(k)
+    return _centered(k)
+
+
+def _weights(
+    skeleton: Sequence[Simplex],
+    g: np.ndarray,
+    norms: np.ndarray,
+    workers: int | None = None,
+    certify: bool = False,
+) -> np.ndarray:
+    """:func:`raw_weights` from the centered operators ``g`` and their
+    norms; with ``certify``, triangles that monotone repair provably lifts
+    to their largest edge weight are left at 0 unweighed."""
+    n = len(g)
     skeleton = _facet_table(skeleton)
     vertices, dims, facets = skeleton.vertices, skeleton.dims, skeleton.facets
     beyond = np.flatnonzero(vertices.max(axis=1) >= n)
@@ -447,8 +445,7 @@ def _weights(
         v = skeleton[beyond[0]].vertices
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
-    size = k.shape[1]
-    g, norms = _centered(k)
+    size = g.shape[1]
     # a centered matrix is noise below this multiple of its factors' norms
     tol = size * _EPS
     weights = np.zeros(len(skeleton))
@@ -512,7 +509,7 @@ def _weights(
 
 def assign_weights(
     skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator] | np.ndarray,
+    operators: Sequence[DiffusionOperator] | np.ndarray | _Centered,
     normalize: bool = False,
 ) -> WeightedComplex:
     """Attach alternating-diffusion weights to a skeleton.
@@ -525,8 +522,12 @@ def assign_weights(
     operator's norm (:func:`_certified`) cannot show that its raw weight
     lies below its largest edge weight, the value repair gives it then.  A
     zero-matrix triangle has bound 0 and so meets the same error as in
-    :func:`raw_weights`.  The bound holds ``(n + E) L k`` more values, for
-    ``E`` edges and ``k = ceil(sqrt(L))``.
+    :func:`raw_weights`.  Memory held is that of :func:`raw_weights`, and
+    the bound holds ``(n + E) L k`` more values, for ``E`` edges and
+    ``k = ceil(sqrt(L))``.  The pipeline passes, in place of the
+    operators, the centered stack it fills a block of samples at a time
+    (:func:`~topodist.diffusion._centered_stack`), so it holds no stack
+    of operators ``K`` at all.
 
     With ``normalize=True`` all weights are divided by the median of the
     monotone positive-dimension weights, the values the filtration sees,
@@ -534,7 +535,8 @@ def assign_weights(
     observation counts (the order within one filtration is unchanged).
     """
     skeleton = _facet_table(skeleton)
-    cx = enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, operators, certify=True)))
+    g, norms = _centered_operators(operators)
+    cx = enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, g, norms, certify=True)))
     return _median_normalized(cx) if normalize else cx
 
 

@@ -34,7 +34,7 @@ __all__ = [
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+    out = np.array(arr, dtype=np.float64, copy=True, order="C")
     out.setflags(write=False)
     return out
 

@@ -6,16 +6,20 @@ heuristic, then a two-step normalization that first divides out the local
 density (``Q^-1 W Q^-1``) and then row-normalizes, yielding a row-stochastic
 operator whose spectrum is real.
 
-:func:`operator_stack` runs the chain once for all samples of a dataset;
+:func:`operator_stack` runs the chain for all samples of a dataset, in
+blocks of consecutive samples whose temporaries stay small; the pipeline
+runs the same blocks straight into the centered operators ``G = P K P``
+that the simplex weights are built from.
 :func:`sample_diffusion_operator` and the validated :class:`AffinityMatrix`
-and :class:`DiffusionOperator` types run it for one sample and are the
-oracle it is tested against, bit for bit.
+and :class:`DiffusionOperator` types run the chain for one sample and are
+the oracle it is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -32,6 +36,11 @@ __all__ = [
     "sample_diffusion_operator",
     "operator_stack",
 ]
+
+# bytes of operators in one block of samples, and of each gathered operand
+# stack of the edge products and of the bound in ``complexes``
+_CHUNK_BYTES = 1 << 18
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -84,19 +93,22 @@ class DiffusionOperator:
         return self.entries.shape[0]
 
 
-def _check_stochastic(k: np.ndarray) -> None:
+def _check_stochastic(k: np.ndarray, start: int = 0) -> None:
     """Raise unless ``k``, one operator or an ``(n, L, L)`` stack of them,
     has nonnegative entries and rows summing to 1 within 1e-12.  For a
-    stack the error names the first sample at fault."""
+    stack the error names the first sample at fault, counting from
+    ``start``."""
     stack, name = (k, "sample {}: operator") if k.ndim == 3 else (k[np.newaxis], "operator")
     negative = np.flatnonzero((stack < 0.0).any(axis=(1, 2)))
     if negative.size:
-        raise ValueError(f"{name.format(negative[0])} entries must be nonnegative")
+        raise ValueError(f"{name.format(start + negative[0])} entries must be nonnegative")
     off = np.abs(stack.sum(axis=2) - 1.0).max(axis=1, initial=0.0)
     bad = np.flatnonzero(~(off <= 1e-12))  # a NaN sum is off too
     if bad.size:
         i = bad[0]
-        raise ValueError(f"{name.format(i)} rows must sum to 1 within 1e-12 (off by {off[i]:.3e})")
+        raise ValueError(
+            f"{name.format(start + i)} rows must sum to 1 within 1e-12 (off by {off[i]:.3e})"
+        )
 
 
 def pairwise_distances(sample: Sample) -> np.ndarray:
@@ -179,10 +191,32 @@ def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> Dif
     return diffusion_operator(affinity(d, eps))
 
 
-def _affinity_stack(
-    samples: Sequence[Sample], median_factor: float
+def _observation_count(samples: Sequence[Sample], median_factor: float) -> int:
+    """The observation count ``L`` that ``samples`` share, 0 for no samples,
+    once the kernel scale factor and the count are checked."""
+    if not 0.0 < median_factor < np.inf:
+        raise ValueError(f"factor must be positive and finite, got {median_factor}")
+    sizes = sorted({s.n_observations for s in samples})
+    if len(sizes) > 1:
+        raise ValueError(f"samples disagree on observation count: {sizes}")
+    return sizes[0] if sizes else 0
+
+
+def _pair_index(size: int) -> np.ndarray:
+    """The ``(L, L)`` table of each pair's position in the condensed order of
+    :func:`~scipy.spatial.distance.pdist`, and ``L (L - 1) / 2``, one past
+    the last pair, on the diagonal."""
+    a, b = np.triu_indices(size, k=1)
+    index = np.full((size, size), len(a))
+    index[a, b] = index[b, a] = np.arange(len(a))
+    return index
+
+
+def _affinities(
+    samples: Sequence[Sample], median_factor: float, index: np.ndarray, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n, L, L)`` Gaussian affinities of ``samples`` and their scales.
+    """The ``(n, L, L)`` Gaussian affinities of ``samples`` and their scales,
+    for samples of ``L`` observations and ``index = _pair_index(L)``.
 
     Bit for bit what :func:`pairwise_distances`, :func:`median_scale` and
     :func:`affinity` give one sample at a time: distances come from
@@ -190,15 +224,11 @@ def _affinity_stack(
     coincident observations are exactly 0 apart), and each median is read
     from that sample's sorted positive squared distances, the mean of the
     two middle ones when their count is even, as :func:`numpy.median` takes
-    it.  A sample whose observations all coincide raises, naming the first.
+    it.  A sample whose observations all coincide raises, naming the first
+    by its position plus ``start``.
     """
-    if not 0.0 < median_factor < np.inf:
-        raise ValueError(f"factor must be positive and finite, got {median_factor}")
-    sizes = sorted({s.n_observations for s in samples})
-    if len(sizes) > 1:
-        raise ValueError(f"samples disagree on observation count: {sizes}")
-    size = sizes[0] if sizes else 0
-    squared = np.empty((len(samples), size * (size - 1) // 2))
+    count = len(index) * (len(index) - 1) // 2
+    squared = np.empty((len(samples), count))
     for row, s in zip(squared, samples):
         row[:] = pdist(s.observations, metric="euclidean")
     squared **= 2
@@ -208,19 +238,53 @@ def _affinity_stack(
     degenerate = np.flatnonzero(positive == 0)
     if degenerate.size:
         raise ValueError(
-            f"sample {degenerate[0]}: no pairwise distance is positive (all "
+            f"sample {start + degenerate[0]}: no pairwise distance is positive (all "
             "observations coincide); kernel scale is degenerate"
         )
     rows = np.arange(len(ordered))
     lo = ordered[rows, zeros + (positive - 1) // 2]
     hi = ordered[rows, zeros + positive // 2]
     epsilon = median_factor * np.where(positive % 2 == 1, lo, (lo + hi) / 2)
-    upper = np.exp(-squared / epsilon[:, np.newaxis])
-    w = np.empty((len(samples), size, size))
-    a, b = np.triu_indices(size, k=1)
-    w[:, a, b] = w[:, b, a] = upper
-    w[:, np.arange(size), np.arange(size)] = 1.0
-    return w, epsilon
+    # each matrix gathers its upper triangle and, from one past it, its unit diagonal
+    upper = np.empty((len(samples), count + 1))
+    np.exp(-squared / epsilon[:, np.newaxis], out=upper[:, :count])
+    upper[:, count] = 1.0
+    return upper.take(index, axis=1), epsilon
+
+
+def _affinity_stack(
+    samples: Sequence[Sample], median_factor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_affinities` of all ``samples`` at once, once they are checked."""
+    size = _observation_count(samples, median_factor)
+    return _affinities(samples, median_factor, _pair_index(size))
+
+
+def _operator_blocks(
+    samples: Sequence[Sample], median_factor: float
+) -> tuple[int, Iterator[tuple[slice, np.ndarray, np.ndarray]]]:
+    """Check ``samples`` once, then run the chain over them a block at a time.
+
+    Returns their observation count ``L`` and an iterator of ``(rows, k,
+    epsilon)``, one per block of consecutive samples ``samples[rows]``:
+    their operators, each checked for nonnegative entries and rows summing
+    to 1 within 1e-12, and their kernel scales.  A block holds as many
+    samples as fit :data:`_CHUNK_BYTES` of operators, at least one, so its
+    temporaries stay small whatever the dataset; errors name a sample by
+    its position in ``samples``.
+    """
+    size = _observation_count(samples, median_factor)
+    index = _pair_index(size)
+    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
+
+    def blocks() -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        for start in range(0, len(samples), step):
+            w, epsilon = _affinities(samples[start : start + step], median_factor, index, start)
+            k = _two_step(w)[0]
+            _check_stochastic(k, start)
+            yield slice(start, start + len(k)), k, epsilon
+
+    return size, blocks()
 
 
 def operator_stack(
@@ -230,12 +294,58 @@ def operator_stack(
     with the kernel scale ``epsilon`` of each sample.
 
     ``stack[i]`` equals ``sample_diffusion_operator(samples[i],
-    median_factor).entries`` bit for bit, and the whole stack is checked
-    once for nonnegative entries and rows summing to 1 within 1e-12.  The
+    median_factor).entries`` bit for bit, and every operator is checked
+    for nonnegative entries and rows summing to 1 within 1e-12.  The
     samples must share their observation count; their observation
-    dimensions may differ.  No samples give a ``(0, 0, 0)`` stack.
+    dimensions may differ.  No samples give a ``(0, 0, 0)`` stack.  Memory
+    held: the stack, and the temporaries of one block of samples, about
+    :data:`_CHUNK_BYTES` of operators each.
     """
-    w, epsilon = _affinity_stack(samples, median_factor)
-    k = _two_step(w)[0]
-    _check_stochastic(k)
+    size, blocks = _operator_blocks(samples, median_factor)
+    k, epsilon = np.empty((len(samples), size, size)), np.empty(len(samples))
+    for rows, block, scales in blocks:
+        k[rows], epsilon[rows] = block, scales
     return k, epsilon
+
+
+def _centered(k: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``P K P`` for each operator of an ``(n, L, L)`` stack, in ``out`` when
+    given, and its Frobenius norm: each ``K`` less its column means, then
+    less its row means.
+
+    A result below the rounding level of its ``K`` is noise and comes back
+    as exact zeros, so every simplex on a sample whose rows are all equal
+    meets the zero-matrix check of :func:`~topodist.complexes.raw_weights`.
+    """
+    if not k.size:  # no means to take, and numpy warns on an empty mean
+        return k.copy(), np.zeros(len(k))
+    g = np.subtract(k, k.mean(axis=1, keepdims=True), out=out)
+    g -= g.mean(axis=2, keepdims=True)
+    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
+    noise = norms <= k.shape[1] * _EPS * np.array([math.sqrt(np.vdot(x, x)) for x in k])
+    g[noise] = 0.0
+    norms[noise] = 0.0
+    return g, norms
+
+
+class _Centered(NamedTuple):
+    """A dataset's centered operators ``G = P K P``, their Frobenius norms
+    and the kernel scale of each sample, as :func:`_centered_stack` builds
+    them."""
+
+    g: np.ndarray
+    norms: np.ndarray
+    epsilon: np.ndarray
+
+
+def _centered_stack(samples: Sequence[Sample], median_factor: float = 1.0) -> _Centered:
+    """:func:`_centered` of :func:`operator_stack`, and the kernel scales,
+    bit for bit, filled a block of samples at a time: no stack of operators
+    ``K`` is held, only ``G`` and one block's temporaries."""
+    size, blocks = _operator_blocks(samples, median_factor)
+    n = len(samples)
+    out = _Centered(np.empty((n, size, size)), np.empty(n), np.empty(n))
+    for rows, k, epsilon in blocks:
+        out.norms[rows] = _centered(k, out.g[rows])[1]
+        out.epsilon[rows] = epsilon
+    return out

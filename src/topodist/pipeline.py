@@ -32,7 +32,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Dataset, TorusSpec, generate_torus_dataset
-from topodist.diffusion import _affinity_stack, operator_stack
+from topodist.diffusion import _affinity_stack, _centered_stack, operator_stack
 from topodist.homology import (
     PersistenceDiagram,
     persistence_diagrams,
@@ -151,7 +151,13 @@ def build_weighted_complex(
     dataset: Dataset,
     config: PipelineConfig,
 ) -> WeightedComplex:
-    """Build the weighted complex for one dataset per the configured scheme."""
+    """Build the weighted complex for one dataset per the configured scheme.
+
+    The alternating scheme weighs the centered operators that
+    :func:`~topodist.diffusion._centered_stack` fills a block of samples
+    at a time, so the operators are checked once, block by block, and no
+    full stack of affinities or operators is held beside the centered one.
+    """
     n = len(dataset.samples)
     if config.skeleton == "grid":
         rows, cols = _grid_shape(dataset)
@@ -162,8 +168,8 @@ def build_weighted_complex(
         return cross_correlation_complex(
             skeleton, dataset, config.kernel_epsilon_factor, config.normalize
         )
-    operators, _ = operator_stack(dataset.samples, config.kernel_epsilon_factor)
-    return assign_weights(skeleton, operators, normalize=config.normalize)
+    centered = _centered_stack(dataset.samples, config.kernel_epsilon_factor)
+    return assign_weights(skeleton, centered, normalize=config.normalize)
 
 
 def cross_correlation_complex(

@@ -205,6 +205,12 @@ def test_patch_cube_reference_shape():
     assert all(s.observation_dim == 25 for s in d.samples)
 
 
+def test_patch_cube_samples_are_c_contiguous():
+    # patches are cut as transposed views; the distances read rows in place
+    d, _ = patch_cube(np.random.default_rng(3).normal(size=(10, 10, 6)), 5)
+    assert all(s.observations.flags.c_contiguous for s in d.samples)
+
+
 def test_patch_cube_preserves_content():
     rng = np.random.default_rng(7)
     cube = rng.normal(size=(6, 9, 3))

@@ -2,17 +2,21 @@
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from topodist.complexes import assign_weights, complete_skeleton, raw_weights
+from topodist import diffusion
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
 from topodist.diffusion import (
     AffinityMatrix,
     DiffusionOperator,
     _affinity_stack,
+    _centered,
+    _centered_stack,
     affinity,
     diffusion_operator,
     median_scale,
@@ -341,13 +345,13 @@ def test_duplicate_observations_give_valid_operators_and_weights(samples):
 
 
 @st.composite
-def sample_sets(draw) -> list[Sample]:
+def sample_sets(draw, max_samples: int = 4) -> list[Sample]:
     """Samples of one observation count, each of its own dimension and
     scale, with planted duplicate rows and sometimes a far outlier."""
     size = draw(st.integers(2, 12))
     rows = st.integers(0, size - 1)
     samples = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_samples))):
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         x = rng.normal(size=(size, draw(st.integers(1, 4))))
         x *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -363,6 +367,12 @@ def sample_sets(draw) -> list[Sample]:
 def distinct_points(points: int) -> list[Sample]:
     """One sample of ``points`` distinct observations: C(points, 2) distances."""
     return [Sample(np.arange(2.0 * points).reshape(points, 2) ** 2)]
+
+
+def blocks_of(per_block: int, size: int):
+    """Shrink the block constant so blocks hold ``per_block`` samples of
+    ``size`` observations."""
+    return mock.patch.object(diffusion, "_CHUNK_BYTES", per_block * 8 * size * size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,12 +392,21 @@ def test_operator_stack_equals_the_per_sample_chain(samples, factor):
 
 def test_operator_stack_names_the_first_sample_whose_observations_coincide():
     spread, flat = Sample(np.arange(6.0).reshape(3, 2)), Sample(np.ones((3, 2)))
-    with pytest.raises(ValueError, match=r"^sample 1: no pairwise distance is positive"):
-        operator_stack([spread, flat, spread, flat])
-    with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
-        operator_stack([spread, Sample(np.arange(8.0).reshape(4, 2))])
-    with pytest.raises(ValueError, match="factor"):
-        operator_stack([spread], 0.0)
+    wide = Sample(np.arange(8.0).reshape(4, 2))
+    for build in (operator_stack, _centered_stack):
+        with pytest.raises(ValueError, match=r"^sample 1: no pairwise distance is positive"):
+            build([spread, flat, spread, flat])
+        with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
+            build([spread, wide])
+        with pytest.raises(ValueError, match="factor"):
+            build([spread], 0.0)
+        with blocks_of(2, 3):
+            # sample 5 is the second of the third block
+            with pytest.raises(ValueError, match=r"^sample 5: no pairwise distance is positive"):
+                build([spread] * 5 + [flat])
+            # the count is checked across all samples before the first block
+            with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
+                build([spread] * 5 + [wide])
 
 
 def test_no_samples_give_an_empty_stack_without_warnings():
@@ -395,5 +414,63 @@ def test_no_samples_give_an_empty_stack_without_warnings():
         warnings.simplefilter("error")
         stack, epsilon = operator_stack([])
         assert stack.shape == (0, 0, 0) and epsilon.shape == (0,)
+        g, norms, scales = _centered_stack([])
+        assert g.shape == (0, 0, 0) and norms.shape == scales.shape == (0,)
         assert raw_weights([], stack).shape == (0,)
         assert raw_weights([], []).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the chain in blocks of samples
+
+
+def assert_blocked_chain(samples: list[Sample], factor: float) -> None:
+    """The blocked centered stack, its norms and scales equal the centered
+    operator stack bit for bit, and the stack equals the per-sample chain."""
+    # blocked first, so its fresh arrays cannot reuse memory holding the answer
+    g, norms, epsilon = _centered_stack(samples, factor)
+    stack, scales = operator_stack(samples, factor)
+    want_g, want_norms = _centered(stack)
+    assert np.array_equal(g, want_g)
+    assert np.array_equal(norms, want_norms)
+    assert np.array_equal(epsilon, scales)
+    oracle = [sample_diffusion_operator(s, factor).entries for s in samples]
+    assert np.array_equal(stack, np.stack(oracle))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_sets(max_samples=9), st.integers(1, 4), st.floats(0.1, 10.0))
+def test_blocked_chain_equals_the_whole_stack(samples, per_block, factor):
+    with blocks_of(per_block, samples[0].n_observations):
+        assert_blocked_chain(samples, factor)
+
+
+def test_blocked_chain_at_one_sample_per_block():
+    samples = [Sample(np.random.default_rng(i).normal(size=(200, 3))) for i in range(3)]
+    assert diffusion._CHUNK_BYTES // (8 * 200 * 200) == 0  # each block holds one sample
+    assert_blocked_chain(samples, 1.0)
+    skeleton = complete_skeleton(3)
+    centered = _centered_stack(samples)
+    ops = operator_stack(samples)[0]
+    assert np.array_equal(raw_weights(skeleton, centered), raw_weights(skeleton, ops))
+    cx, want = assign_weights(skeleton, centered), assign_weights(skeleton, ops)
+    assert np.array_equal(cx.weights, want.weights)
+
+
+def test_each_block_is_checked_and_names_the_sample_in_the_dataset():
+    spread = Sample(np.arange(6.0).reshape(3, 2))
+    calls = []
+    two_step = diffusion._two_step
+
+    def flipped_in_third_block(w):
+        k, w_tilde, q_tilde = two_step(w)
+        calls.append(len(k))
+        if len(calls) == 3:
+            k[1, 0, 0] = -k[1, 0, 0]
+        return k, w_tilde, q_tilde
+
+    with blocks_of(2, 3), mock.patch.object(diffusion, "_two_step", flipped_in_third_block):
+        for build in (operator_stack, _centered_stack):
+            calls.clear()
+            with pytest.raises(ValueError, match=r"^sample 5: operator entries must be"):
+                build([spread] * 8)

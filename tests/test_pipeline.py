@@ -7,6 +7,7 @@ the saved intermediates must give the same files.
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,22 @@ class TestRunPipeline:
         cx = build_weighted_complex(dataset, PipelineConfig(skeleton="grid"))
         assert cx.count(0) == 6
         assert cx.count(2) == 2 * (grid.rows - 1) * (grid.cols - 1)
+
+    def test_weights_hold_no_operator_stack_beside_the_centered_one(self):
+        # 8 x 8 patches of 64 bands: the pair stack of the grid's edges and
+        # the centered stack G, plus one block's temporaries; a full stack
+        # of operators K or affinities beside G would pass the bound
+        cube = np.random.default_rng(4).normal(size=(40, 40, 64))
+        dataset, _ = patch_cube(cube, 5)
+        config = PipelineConfig(skeleton="grid", degree=0)
+        tracemalloc.start()
+        try:
+            cx = build_weighted_complex(dataset, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * 64 * 64
+        assert peak < cx.count(1) * matrix + 2 * len(dataset.samples) * matrix
 
     def test_error_names_dataset_and_stage(self):
         datasets = torus_datasets([1, 2])
