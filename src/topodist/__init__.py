@@ -2,7 +2,7 @@
 
 A hierarchical dataset is a collection of samples, each a set of
 corresponding observations.  The library turns every sample into a
-diffusion operator (a dataset's operators as one stack), weighs the simplexes over the samples by how much
+diffusion operator, weighs the simplexes over the samples by how much
 structure their operators share, reads off the persistent homology of
 the resulting filtration, and compares datasets by the Wasserstein
 distance between their persistence diagrams.  A diffusion-maps
@@ -47,7 +47,6 @@ from topodist.diffusion import (
     affinity,
     diffusion_operator,
     median_scale,
-    operator_stack,
     pairwise_distances,
     sample_diffusion_operator,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "grid_skeleton",
     "load_dataset",
     "median_scale",
-    "operator_stack",
     "pair_operator",
     "pairwise_distances",
     "patch_cube",

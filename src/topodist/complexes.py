@@ -32,7 +32,6 @@ from topodist.diffusion import (
     DiffusionOperator,
     _Centered,
     _centered,
-    _check_stochastic,
 )
 
 __all__ = [
@@ -263,29 +262,25 @@ _ZERO = "is the zero matrix once its constant part is removed; its weight is inf
 
 
 def _triangle_groups(
-    vertices: np.ndarray, dims: np.ndarray, facets: np.ndarray, keep: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Edges and triangles of a facet table, and the groups of triangles.
+    corners: np.ndarray, sides: np.ndarray, keep: np.ndarray | None = None
+) -> list[tuple]:
+    """Groups of the triangles with vertices ``corners[t] = (a, b, c)`` and
+    edge ranks ``sides[t] = (bc, ac, ab)``, listed in skeleton order.
 
-    Returns the positions of the edges and of the triangles in skeleton
-    order, and one ``(lo, hi, a, b, ab, c, bc, ac, pad)`` per run
-    ``triangles[lo:hi]`` sharing a first edge: vertices ``a``, ``b`` and the
-    rank ``ab`` of that edge among ``edges`` are fixed, while the run's
+    Returns one ``(lo, hi, a, b, ab, c, bc, ac, pad)`` per run
+    ``lo:hi`` of triangles sharing a first edge: vertices ``a``, ``b`` and
+    the rank ``ab`` of that edge among the edges are fixed, while the run's
     vertices ``c`` and edge ranks ``bc`` and ``ac`` come as a slice where
     each is one more than the one before it, as in a complete skeleton, and
     as an array of them elsewhere.
 
-    With ``keep``, a mask over ``triangles``, only the kept triangles are
+    With ``keep``, a mask over the triangles, only the kept triangles are
     grouped, ``lo:hi`` counts kept triangles, and each group lies within one
     run of the whole table.  ``pad`` marks a group of one triangle cut from
     a longer run.
     """
-    edges = np.flatnonzero(dims == 1)
-    triangles = np.flatnonzero(dims == 2)
-    rank = np.empty(len(dims), dtype=np.intp)
-    rank[edges] = np.arange(len(edges))
-    a, b, c = vertices[triangles].T
-    bc, ac, ab = rank[facets[triangles]].T
+    a, b, c = corners.T
+    bc, ac, ab = sides.T
     run = np.cumsum(np.diff(ab, prepend=-1) != 0)
     longer = np.bincount(run) > 1
     if keep is not None:
@@ -308,7 +303,7 @@ def _triangle_groups(
         *(stacked(x) for x in (c, bc, ac)),
         ((np.diff(bounds) == 1) & longer[run[starts]]).tolist(),
     )
-    return edges, triangles, list(groups)
+    return list(groups)
 
 
 # a triangle is certified when its bound clears the level that matters by
@@ -360,15 +355,15 @@ def _certified(
 
 def raw_weights(
     skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator] | np.ndarray,
+    operators: Sequence[DiffusionOperator] | _Centered,
     workers: int | None = None,
 ) -> np.ndarray:
     """Alternating-diffusion weights per simplex, before monotone enforcement.
 
-    ``operators`` holds one diffusion operator per sample, either as
-    :class:`~topodist.diffusion.DiffusionOperator` objects or as the
-    ``(n, L, L)`` stack of :func:`~topodist.diffusion.operator_stack`; an
-    array is checked row-stochastic as the type would check it.
+    ``operators`` holds one diffusion operator per sample in one of two
+    forms: :class:`~topodist.diffusion.DiffusionOperator` objects, or the
+    centered stack :func:`~topodist.diffusion._centered_stack` builds from
+    the samples.  Anything else, an array of operators too, is a ``TypeError``.
 
     Vertices get 0, edges and triangles the weights of
     :func:`~topodist.alternating.edge_weight` and
@@ -407,23 +402,24 @@ def raw_weights(
 
 
 def _centered_operators(
-    operators: Sequence[DiffusionOperator] | np.ndarray | _Centered,
+    operators: Sequence[DiffusionOperator] | _Centered,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The centered stack ``G`` of ``operators`` and its norms: stacked,
-    checked and centered, or as given when already centered (the pipeline
-    builds them from the samples a block at a time, checking each block)."""
+    """The centered stack ``G`` of ``operators`` and its norms: as given when
+    already centered (the pipeline builds them from the samples a block at
+    a time, checking each block), else stacked and centered."""
     if isinstance(operators, _Centered):
         return operators.g, operators.norms
-    if isinstance(operators, np.ndarray):
-        k = np.asarray(operators, dtype=np.float64)
-        if k.ndim != 3 or k.shape[1] != k.shape[2]:
-            raise ValueError(f"operator stack must have shape (n, L, L), got {k.shape}")
-        _check_stochastic(k)
-    else:
-        sizes = {op.size for op in operators}
-        if len(sizes) > 1:
-            raise ValueError(f"operators disagree on size: {sorted(sizes)}")
-        k = np.array([op.entries for op in operators]) if len(operators) else np.empty((0, 0, 0))
+    if not isinstance(operators, Sequence) or not all(
+        isinstance(op, DiffusionOperator) for op in operators
+    ):
+        raise TypeError(
+            "operators must be a sequence of DiffusionOperator or the centered stack "
+            f"of topodist.diffusion._centered_stack, got {type(operators).__name__}"
+        )
+    sizes = {op.size for op in operators}
+    if len(sizes) > 1:
+        raise ValueError(f"operators disagree on size: {sorted(sizes)}")
+    k = np.array([op.entries for op in operators]) if len(operators) else np.empty((0, 0, 0))
     return _centered(k)
 
 
@@ -468,16 +464,17 @@ def _weights(
     guard(edges, edge_norms <= tol * norms[a] * norms[b], "edge", "pair")
     weights[edges] = 1.0 / edge_norms
 
+    rank = np.empty(len(dims), dtype=np.intp)
+    rank[edges] = np.arange(len(edges))
+    corners, sides = vertices[triangles], rank[facets[triangles]]
     keep = None
     if certify and len(triangles):
         # a triangle whose norm reaches 1 / (its largest edge weight) has a
         # raw weight below that edge's, which monotone repair then gives it
-        rank = np.empty(len(dims), dtype=np.intp)
-        rank[edges] = np.arange(len(edges))
         top = weights[facets[triangles]].max(axis=1)
-        keep = ~_certified(g, pairs, vertices[triangles], rank[facets[triangles]], 1.0 / top)
+        keep = ~_certified(g, pairs, corners, sides, 1.0 / top)
         triangles = triangles[keep]
-    _, _, groups = _triangle_groups(vertices, dims, facets, keep)
+    groups = _triangle_groups(corners, sides, keep)
     squared = np.empty(len(triangles))
 
     def weigh(lo: int, hi: int, a: int, b: int, ab: int, c, bc, ac, pad: bool) -> None:
@@ -509,7 +506,7 @@ def _weights(
 
 def assign_weights(
     skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator] | np.ndarray | _Centered,
+    operators: Sequence[DiffusionOperator] | _Centered,
     normalize: bool = False,
 ) -> WeightedComplex:
     """Attach alternating-diffusion weights to a skeleton.
@@ -524,10 +521,9 @@ def assign_weights(
     zero-matrix triangle has bound 0 and so meets the same error as in
     :func:`raw_weights`.  Memory held is that of :func:`raw_weights`, and
     the bound holds ``(n + E) L k`` more values, for ``E`` edges and
-    ``k = ceil(sqrt(L))``.  The pipeline passes, in place of the
-    operators, the centered stack it fills a block of samples at a time
-    (:func:`~topodist.diffusion._centered_stack`), so it holds no stack
-    of operators ``K`` at all.
+    ``k = ceil(sqrt(L))``.  ``operators`` takes either form of
+    :func:`raw_weights`; the pipeline passes the centered stack, filled a
+    block of samples at a time, so it holds no stack of operators ``K``.
 
     With ``normalize=True`` all weights are divided by the median of the
     monotone positive-dimension weights, the values the filtration sees,
@@ -542,7 +538,10 @@ def assign_weights(
 
 def _median_normalized(cx: WeightedComplex) -> WeightedComplex:
     """``cx`` with weights divided by their median over positive dimensions."""
-    med = float(np.median(cx.weights[cx.dims > 0]))
+    positive = cx.weights[cx.dims > 0]
+    if not positive.size:
+        raise ValueError("no positive-dimension weight to normalize by (no edge or triangle)")
+    med = float(np.median(positive))
     if med <= 0.0:
         raise ValueError("median weight is not positive; cannot normalize")
     return WeightedComplex(cx.simplexes, cx.weights / med)

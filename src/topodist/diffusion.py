@@ -6,10 +6,10 @@ heuristic, then a two-step normalization that first divides out the local
 density (``Q^-1 W Q^-1``) and then row-normalizes, yielding a row-stochastic
 operator whose spectrum is real.
 
-:func:`operator_stack` runs the chain for all samples of a dataset, in
-blocks of consecutive samples whose temporaries stay small; the pipeline
-runs the same blocks straight into the centered operators ``G = P K P``
-that the simplex weights are built from.
+The pipeline runs the chain for all samples of a dataset in blocks of
+consecutive samples whose temporaries stay small, each block straight into
+the centered operators ``G = P K P`` that the simplex weights are built
+from.
 :func:`sample_diffusion_operator` and the validated :class:`AffinityMatrix`
 and :class:`DiffusionOperator` types run the chain for one sample and are
 the oracle it is tested against, bit for bit.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -34,7 +34,6 @@ __all__ = [
     "affinity",
     "diffusion_operator",
     "sample_diffusion_operator",
-    "operator_stack",
 ]
 
 # bytes of operators in one block of samples, and of each gathered operand
@@ -260,54 +259,6 @@ def _affinity_stack(
     return _affinities(samples, median_factor, _pair_index(size))
 
 
-def _operator_blocks(
-    samples: Sequence[Sample], median_factor: float
-) -> tuple[int, Iterator[tuple[slice, np.ndarray, np.ndarray]]]:
-    """Check ``samples`` once, then run the chain over them a block at a time.
-
-    Returns their observation count ``L`` and an iterator of ``(rows, k,
-    epsilon)``, one per block of consecutive samples ``samples[rows]``:
-    their operators, each checked for nonnegative entries and rows summing
-    to 1 within 1e-12, and their kernel scales.  A block holds as many
-    samples as fit :data:`_CHUNK_BYTES` of operators, at least one, so its
-    temporaries stay small whatever the dataset; errors name a sample by
-    its position in ``samples``.
-    """
-    size = _observation_count(samples, median_factor)
-    index = _pair_index(size)
-    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
-
-    def blocks() -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        for start in range(0, len(samples), step):
-            w, epsilon = _affinities(samples[start : start + step], median_factor, index, start)
-            k = _two_step(w)[0]
-            _check_stochastic(k, start)
-            yield slice(start, start + len(k)), k, epsilon
-
-    return size, blocks()
-
-
-def operator_stack(
-    samples: Sequence[Sample], median_factor: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion operators of a dataset's samples as one ``(n, L, L)`` stack,
-    with the kernel scale ``epsilon`` of each sample.
-
-    ``stack[i]`` equals ``sample_diffusion_operator(samples[i],
-    median_factor).entries`` bit for bit, and every operator is checked
-    for nonnegative entries and rows summing to 1 within 1e-12.  The
-    samples must share their observation count; their observation
-    dimensions may differ.  No samples give a ``(0, 0, 0)`` stack.  Memory
-    held: the stack, and the temporaries of one block of samples, about
-    :data:`_CHUNK_BYTES` of operators each.
-    """
-    size, blocks = _operator_blocks(samples, median_factor)
-    k, epsilon = np.empty((len(samples), size, size)), np.empty(len(samples))
-    for rows, block, scales in blocks:
-        k[rows], epsilon[rows] = block, scales
-    return k, epsilon
-
-
 def _centered(k: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``P K P`` for each operator of an ``(n, L, L)`` stack, in ``out`` when
     given, and its Frobenius norm: each ``K`` less its column means, then
@@ -339,13 +290,23 @@ class _Centered(NamedTuple):
 
 
 def _centered_stack(samples: Sequence[Sample], median_factor: float = 1.0) -> _Centered:
-    """:func:`_centered` of :func:`operator_stack`, and the kernel scales,
-    bit for bit, filled a block of samples at a time: no stack of operators
-    ``K`` is held, only ``G`` and one block's temporaries."""
-    size, blocks = _operator_blocks(samples, median_factor)
+    """:func:`_centered` of the stacked ``sample_diffusion_operator(s,
+    median_factor).entries`` of ``samples``, and each sample's kernel
+    scale, bit for bit.  The samples share their observation count, not
+    their dimension.  The chain runs over blocks of as many samples as fit
+    :data:`_CHUNK_BYTES` of operators, at least one, and checks each
+    block's operators row-stochastic before centering them into ``g``: no
+    stack of operators ``K`` is held.  Errors name a sample by its position.
+    """
+    size = _observation_count(samples, median_factor)
+    index = _pair_index(size)
+    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
     n = len(samples)
     out = _Centered(np.empty((n, size, size)), np.empty(n), np.empty(n))
-    for rows, k, epsilon in blocks:
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        w, out.epsilon[rows] = _affinities(samples[rows], median_factor, index, start)
+        k = _two_step(w)[0]
+        _check_stochastic(k, start)
         out.norms[rows] = _centered(k, out.g[rows])[1]
-        out.epsilon[rows] = epsilon
     return out

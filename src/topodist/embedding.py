@@ -88,6 +88,8 @@ def diffusion_maps(
     elif not 1 <= d < n:
         raise ValueError(f"embedding dimension must satisfy 1 <= d < {n}, got {d}")
 
+    if not distances.entries.any():
+        raise ValueError("every distance between datasets is 0; the embedding scale is degenerate")
     eps = median_scale(distances.entries, epsilon_factor)
     _, w_tilde, q_tilde = _two_step(affinity(distances.entries, eps).entries)
 
@@ -136,5 +138,8 @@ def read_embedding_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         if len(row) != d + 1:
             raise ValueError(f"row {i} has {len(row) - 1} coordinates, expected {d}")
         labels.append(row[0])
-        coords[i] = [float(v) for v in row[1:]]
+        try:
+            coords[i] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ValueError(f"malformed embedding CSV row: {row}") from None
     return tuple(labels), coords

@@ -32,7 +32,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Dataset, TorusSpec, generate_torus_dataset
-from topodist.diffusion import _affinity_stack, _centered_stack, operator_stack
+from topodist.diffusion import _affinity_stack, _centered_stack
 from topodist.homology import (
     PersistenceDiagram,
     persistence_diagrams,
@@ -345,7 +345,7 @@ def weight_profile(
         ds = generate_torus_dataset(dataclasses.replace(spec, seed=spec.seed + offset))
         tuples = [set(t) for t in ds.metadata["index_tuples"]]
         skeleton = complete_skeleton(len(ds.samples))
-        raw = raw_weights(skeleton, operator_stack(ds.samples)[0])
+        raw = raw_weights(skeleton, _centered_stack(ds.samples))
         for s, w in zip(skeleton, raw):
             if s.dimension == 1:
                 a, b = s.vertices

@@ -212,5 +212,8 @@ def read_distance_csv(path: str | Path) -> DatasetDistanceMatrix:
             raise ValueError(f"row label {row[0]!r} does not match column label {labels[i]!r}")
         if len(row) != len(labels) + 1:
             raise ValueError(f"row {row[0]!r} has {len(row) - 1} values, expected {len(labels)}")
-        entries[i] = [float(v) for v in row[1:]]
+        try:
+            entries[i] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ValueError(f"malformed distance CSV row: {row}") from None
     return DatasetDistanceMatrix(entries, tuple(labels))

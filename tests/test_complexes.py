@@ -34,7 +34,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
-from topodist.diffusion import DiffusionOperator, operator_stack, sample_diffusion_operator
+from topodist.diffusion import DiffusionOperator, _centered_stack, sample_diffusion_operator
 from topodist.homology import boundary_matrix
 
 
@@ -234,19 +234,21 @@ def test_raw_weights_takes_the_operator_stack():
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=5, n_observations=20, r_max=3.0, sigma=0.1, seed=29)
     )
-    stack, _ = operator_stack(data.samples)
     ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(5)
-    assert np.array_equal(raw_weights(skeleton, stack), raw_weights(skeleton, ops))
-    negative, lopsided = stack.copy(), stack.copy()
-    negative[2, 0, :2] = [-0.5, 1.5]
-    lopsided[3, 1] *= 2.0
-    with pytest.raises(ValueError, match=r"^sample 2: operator entries must be nonnegative$"):
-        raw_weights(skeleton, negative)
-    with pytest.raises(ValueError, match=r"^sample 3: operator rows must sum to 1"):
-        raw_weights(skeleton, lopsided)
-    with pytest.raises(ValueError, match=r"shape \(n, L, L\)"):
-        raw_weights(skeleton, stack[:, :, 1:])
+    centered = _centered_stack(data.samples)
+    assert np.array_equal(raw_weights(skeleton, centered), raw_weights(skeleton, ops))
+
+
+def test_an_array_of_operators_is_rejected():
+    # only DiffusionOperator objects and the centered stack are weighed
+    ops = identity_ops(3)
+    message = r"^operators must be a sequence of DiffusionOperator or the centered stack"
+    for given in (np.array([op.entries for op in ops]), [op.entries for op in ops], iter(ops)):
+        with pytest.raises(TypeError, match=message):
+            raw_weights(complete_skeleton(3), given)
+        with pytest.raises(TypeError, match=message):
+            assign_weights(complete_skeleton(3), given)
 
 
 def test_raw_weights_threads_match_serial():
@@ -664,12 +666,21 @@ def test_raw_weights_in_full_groups_with_an_odd_operator_size():
     assert np.array_equal(permuted, weights[perm])
 
 
+def triangle_groups_of(cx: WeightedComplex):
+    """The positions of the edges and triangles of ``cx`` and the groups of
+    its triangles, from the tables ``_weights`` passes."""
+    edges, triangles = np.flatnonzero(cx.dims == 1), np.flatnonzero(cx.dims == 2)
+    rank = np.cumsum(cx.dims == 1) - 1
+    groups = _triangle_groups(cx.vertices[triangles], rank[cx.facets[triangles]])
+    return edges, triangles, groups
+
+
 def test_a_complete_skeleton_gives_one_view_per_first_edge():
     # canonical order makes every stack of a complete skeleton a view
     n = 8
     skeleton = complete_skeleton(n)
     cx = WeightedComplex(tuple(skeleton), np.zeros(len(skeleton)))
-    edges, triangles, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
+    edges, triangles, groups = triangle_groups_of(cx)
     edge_list = list(itertools.combinations(range(n), 2))
     assert [skeleton[i].vertices for i in edges] == edge_list
     assert [skeleton[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
@@ -702,7 +713,7 @@ def test_a_run_out_of_order_is_gathered():
     by_simplex = dict(zip(skeleton, raw_weights(skeleton, ops)))
     assert np.array_equal(weights, [by_simplex[s] for s in shuffled])
     cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
-    _, _, groups = _triangle_groups(cx.vertices, cx.dims, cx.facets)
+    _, _, groups = triangle_groups_of(cx)
     (_, _, _, _, _, c, bc, ac, _), = [g for g in groups if g[2:4] == (0, 1)]
     assert c.tolist() == [2, 4, 3, 5]
     assert not any(isinstance(run, slice) for run in (bc, ac))
@@ -785,7 +796,7 @@ def weighed_skeletons(draw):
         else:
             k = rng.random((size, size)) ** draw(st.sampled_from((1, 8)))
             ops.append(k / k.sum(axis=1, keepdims=True))
-    return skeleton, np.array(ops)
+    return skeleton, [DiffusionOperator(k) for k in ops]
 
 
 @settings(max_examples=150, deadline=None)
@@ -818,7 +829,7 @@ def test_a_tie_with_the_largest_edge_weight_is_weighed(monkeypatch, size):
     # the shared direction u is in the subspace, so the bound is the norm up
     # to rounding; within the margin the triangle must reach the exact kernel
     scales = (1 / 8, 1 / 7, 1 / 6, 1 / 5, -1 / 6, 1 / 6, 1 / 4, 1 / 6, -1 / 8)
-    ops = np.array([rank_one_operator(size, x) for x in scales])
+    ops = [DiffusionOperator(rank_one_operator(size, x)) for x in scales]
     skeleton = complete_skeleton(len(scales))
     masks = spy_certified(monkeypatch)
     got = assign_weights(skeleton, ops).weights
@@ -842,7 +853,7 @@ def test_with_a_full_basis_every_triangle_clearly_below_its_edges_is_skipped(mon
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=8, n_observations=24, r_max=15.0, sigma=0.1, seed=83)
     )
-    ops, _ = operator_stack(data.samples)
+    ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(8)
     monkeypatch.setattr(complexes, "_subspace", full_basis(24))
     masks = spy_certified(monkeypatch)
@@ -863,15 +874,15 @@ def test_the_bound_never_exceeds_the_exact_norm():
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=7, n_observations=16, r_max=15.0, sigma=0.1, seed=89)
     )
-    torus, _ = operator_stack(data.samples)
+    torus = [sample_diffusion_operator(s) for s in data.samples]
     # rank-one operators put every triple operator in the subspace: tight
     scales = (1 / 8, 1 / 6, 1 / 5, 1 / 3, 1 / 2, 0.9, -0.4)
-    rank_one = np.array([rank_one_operator(16, x) for x in scales])
+    rank_one = [DiffusionOperator(rank_one_operator(16, x)) for x in scales]
     skeleton = complete_skeleton(7)
     for ops, tight in ((torus, False), (rank_one, True)):
         cx = WeightedComplex(skeleton, raw_weights(skeleton, ops))
         triangles = cx.dims == 2
-        g, _ = complexes._centered(ops)
+        g, _ = complexes._centered_operators(ops)
         a, b = cx.vertices[cx.dims == 1, :2].T
         pairs = np.matmul(g[a], g[b].transpose(0, 2, 1))
         pairs += pairs.transpose(0, 2, 1).copy()
@@ -898,7 +909,7 @@ def test_a_triangle_cut_alone_from_a_longer_run_keeps_its_bits(monkeypatch):
     data = generate_torus_dataset(
         TorusSpec(m=8, n_samples=5, n_observations=100, r_max=15.0, sigma=0.1, seed=8)
     )
-    ops, _ = operator_stack(data.samples)
+    ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(5)
     groups, triangle_groups = [], complexes._triangle_groups
 
@@ -908,7 +919,7 @@ def test_a_triangle_cut_alone_from_a_longer_run_keeps_its_bits(monkeypatch):
 
     monkeypatch.setattr(complexes, "_triangle_groups", spy)
     got = assign_weights(skeleton, ops).weights
-    assert any(pad for *_, pad in groups[-1][2])
+    assert any(pad for *_, pad in groups[-1])
     assert np.array_equal(got, monotone_raw(skeleton, ops))
 
 
@@ -927,7 +938,7 @@ def test_normalize_divides_by_the_median_of_the_monotone_weights():
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=6, n_observations=20, r_max=2.0, sigma=0.1, seed=97)
     )
-    ops, _ = operator_stack(data.samples)
+    ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(6)
     monotone = assign_weights(skeleton, ops).weights
     median = np.median(monotone[skeleton.dims > 0])

@@ -20,7 +20,6 @@ from topodist.diffusion import (
     affinity,
     diffusion_operator,
     median_scale,
-    operator_stack,
     pairwise_distances,
     sample_diffusion_operator,
 )
@@ -375,48 +374,53 @@ def blocks_of(per_block: int, size: int):
     return mock.patch.object(diffusion, "_CHUNK_BYTES", per_block * 8 * size * size)
 
 
+def chain_oracle(samples: list[Sample], factor: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """The centered stack, its norms and the scales from the per-sample chain."""
+    ops = [sample_diffusion_operator(s, factor).entries for s in samples]
+    g, norms = _centered(np.stack(ops))
+    return g, norms, [median_scale(pairwise_distances(s), factor) for s in samples]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sample_sets(), st.floats(0.1, 10.0))
 @example(distinct_points(3), 1.0)  # 3 positive distances: the middle one is the median
 @example(distinct_points(4), 2.5)  # 6 positive distances: the mean of the middle two
-def test_operator_stack_equals_the_per_sample_chain(samples, factor):
-    stack, epsilon = operator_stack(samples, factor)
-    oracle = [sample_diffusion_operator(s, factor).entries for s in samples]
-    assert np.array_equal(stack, np.stack(oracle))
-    scales = [median_scale(pairwise_distances(s), factor) for s in samples]
+def test_centered_stack_equals_the_per_sample_chain(samples, factor):
+    g, norms, epsilon = _centered_stack(samples, factor)
+    want_g, want_norms, scales = chain_oracle(samples, factor)
+    assert np.array_equal(g, want_g)
+    assert np.array_equal(norms, want_norms)
     assert epsilon.tolist() == scales
     w, _ = _affinity_stack(samples, factor)
     affinities = [affinity(pairwise_distances(s), e).entries for s, e in zip(samples, scales)]
     assert np.array_equal(w, np.stack(affinities))
 
 
-def test_operator_stack_names_the_first_sample_whose_observations_coincide():
+def test_centered_stack_names_the_first_sample_whose_observations_coincide():
     spread, flat = Sample(np.arange(6.0).reshape(3, 2)), Sample(np.ones((3, 2)))
     wide = Sample(np.arange(8.0).reshape(4, 2))
-    for build in (operator_stack, _centered_stack):
-        with pytest.raises(ValueError, match=r"^sample 1: no pairwise distance is positive"):
-            build([spread, flat, spread, flat])
+    with pytest.raises(ValueError, match=r"^sample 1: no pairwise distance is positive"):
+        _centered_stack([spread, flat, spread, flat])
+    with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
+        _centered_stack([spread, wide])
+    with pytest.raises(ValueError, match="factor"):
+        _centered_stack([spread], 0.0)
+    with blocks_of(2, 3):
+        # sample 5 is the second of the third block
+        with pytest.raises(ValueError, match=r"^sample 5: no pairwise distance is positive"):
+            _centered_stack([spread] * 5 + [flat])
+        # the count is checked across all samples before the first block
         with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
-            build([spread, wide])
-        with pytest.raises(ValueError, match="factor"):
-            build([spread], 0.0)
-        with blocks_of(2, 3):
-            # sample 5 is the second of the third block
-            with pytest.raises(ValueError, match=r"^sample 5: no pairwise distance is positive"):
-                build([spread] * 5 + [flat])
-            # the count is checked across all samples before the first block
-            with pytest.raises(ValueError, match=r"observation count: \[3, 4\]"):
-                build([spread] * 5 + [wide])
+            _centered_stack([spread] * 5 + [wide])
 
 
 def test_no_samples_give_an_empty_stack_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack, epsilon = operator_stack([])
-        assert stack.shape == (0, 0, 0) and epsilon.shape == (0,)
-        g, norms, scales = _centered_stack([])
+        centered = _centered_stack([])
+        g, norms, scales = centered
         assert g.shape == (0, 0, 0) and norms.shape == scales.shape == (0,)
-        assert raw_weights([], stack).shape == (0,)
+        assert raw_weights([], centered).shape == (0,)
         assert raw_weights([], []).shape == (0,)
 
 
@@ -426,16 +430,12 @@ def test_no_samples_give_an_empty_stack_without_warnings():
 
 def assert_blocked_chain(samples: list[Sample], factor: float) -> None:
     """The blocked centered stack, its norms and scales equal the centered
-    operator stack bit for bit, and the stack equals the per-sample chain."""
-    # blocked first, so its fresh arrays cannot reuse memory holding the answer
+    per-sample chain bit for bit."""
     g, norms, epsilon = _centered_stack(samples, factor)
-    stack, scales = operator_stack(samples, factor)
-    want_g, want_norms = _centered(stack)
+    want_g, want_norms, scales = chain_oracle(samples, factor)
     assert np.array_equal(g, want_g)
     assert np.array_equal(norms, want_norms)
-    assert np.array_equal(epsilon, scales)
-    oracle = [sample_diffusion_operator(s, factor).entries for s in samples]
-    assert np.array_equal(stack, np.stack(oracle))
+    assert epsilon.tolist() == scales
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +451,7 @@ def test_blocked_chain_at_one_sample_per_block():
     assert_blocked_chain(samples, 1.0)
     skeleton = complete_skeleton(3)
     centered = _centered_stack(samples)
-    ops = operator_stack(samples)[0]
+    ops = [sample_diffusion_operator(s) for s in samples]
     assert np.array_equal(raw_weights(skeleton, centered), raw_weights(skeleton, ops))
     cx, want = assign_weights(skeleton, centered), assign_weights(skeleton, ops)
     assert np.array_equal(cx.weights, want.weights)
@@ -459,18 +459,28 @@ def test_blocked_chain_at_one_sample_per_block():
 
 def test_each_block_is_checked_and_names_the_sample_in_the_dataset():
     spread = Sample(np.arange(6.0).reshape(3, 2))
-    calls = []
     two_step = diffusion._two_step
 
-    def flipped_in_third_block(w):
-        k, w_tilde, q_tilde = two_step(w)
-        calls.append(len(k))
-        if len(calls) == 3:
-            k[1, 0, 0] = -k[1, 0, 0]
-        return k, w_tilde, q_tilde
+    def in_third_block(fault):
+        calls = []
 
-    with blocks_of(2, 3), mock.patch.object(diffusion, "_two_step", flipped_in_third_block):
-        for build in (operator_stack, _centered_stack):
-            calls.clear()
-            with pytest.raises(ValueError, match=r"^sample 5: operator entries must be"):
-                build([spread] * 8)
+        def faulty(w):
+            k, w_tilde, q_tilde = two_step(w)
+            calls.append(len(k))
+            if len(calls) == 3:
+                fault(k[1])
+            return k, w_tilde, q_tilde
+
+        return mock.patch.object(diffusion, "_two_step", faulty)
+
+    def negate(k):
+        k[0, 0] = -k[0, 0]
+
+    def double(k):
+        k[1] *= 2.0
+
+    faults = ((negate, "entries must be nonnegative"), (double, "rows must sum to 1"))
+    for fault, message in faults:
+        with blocks_of(2, 3), in_third_block(fault):
+            with pytest.raises(ValueError, match=rf"^sample 5: operator {message}"):
+                _centered_stack([spread] * 8)

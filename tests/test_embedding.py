@@ -128,8 +128,10 @@ def test_epsilon_factor_must_be_positive_and_finite(factor):
 
 
 def test_zero_matrix_rejected():
+    # datasets whose diagrams are all empty are 0 apart; the error is about
+    # datasets, not about the observations of a sample
     dm = DatasetDistanceMatrix(np.zeros((4, 4)), tuple("abcd"))
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"^every distance between datasets is 0; .*degenerate"):
         diffusion_maps(dm, d=2)
 
 
@@ -196,4 +198,11 @@ def test_read_embedding_rejects_bad_header(tmp_path):
         read_embedding_csv(p)
     p.write_text("label,x\nfoo,1\n")
     with pytest.raises(ValueError, match="coordinate columns"):
+        read_embedding_csv(p)
+
+
+def test_read_embedding_names_the_malformed_row(tmp_path):
+    p = tmp_path / "e.csv"
+    p.write_text("label,coord_1\nfoo,1\nbar,x\n")
+    with pytest.raises(ValueError, match=r"^malformed embedding CSV row: \['bar', 'x'\]$"):
         read_embedding_csv(p)

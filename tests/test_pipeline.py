@@ -8,6 +8,7 @@ the saved intermediates must give the same files.
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ from topodist.pipeline import (
     weight_profile,
     write_weight_profile_csv,
 )
-from topodist.complexes import complete_skeleton, read_complex_csv
+from topodist.complexes import Simplex, assign_weights, complete_skeleton, read_complex_csv
+from topodist.diffusion import DiffusionOperator
 from topodist.wasserstein import DiagramDistanceSpec, wasserstein
 
 
@@ -279,6 +281,19 @@ class TestBaselines:
         with pytest.raises(ValueError, match=message.format(2)):
             cross_correlation_complex(without, ds)
 
+    def test_normalizing_without_an_edge_or_triangle_names_the_cause(self):
+        # nothing of positive dimension to take the median of
+        ds = torus_datasets([4])[0]
+        vertices = [Simplex((0,)), Simplex((1,))]
+        ops = [DiffusionOperator(np.full((3, 3), 1 / 3))] * 2
+        message = r"^no positive-dimension weight to normalize by"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                assign_weights(vertices, ops, normalize=True)
+            with pytest.raises(ValueError, match=message):
+                cross_correlation_complex(vertices, ds, normalize=True)
+
     def test_cross_correlation_scheme_runs_in_pipeline(self):
         datasets = torus_datasets([1, 2])
         matrix, _ = run_pipeline(
@@ -382,6 +397,15 @@ class TestCli:
             "--out", tmp_path / "embedding.csv",
         ) == 0
         assert (tmp_path / "embedding.csv").read_text().startswith("label,coord_1")
+
+    def test_embed_errors_name_the_row_and_the_zero_distances(self, tmp_path, capsys):
+        path = tmp_path / "distances.csv"
+        path.write_text(",a,b\na,0,x\nb,x,0\n")
+        assert self.run("embed", "--distances", path, "--out", tmp_path / "e.csv") == 2
+        assert "error: malformed distance CSV row: ['a', '0', 'x']" in capsys.readouterr().err
+        path.write_text(",a,b\na,0.0,0.0\nb,0.0,0.0\n")
+        assert self.run("embed", "--distances", path, "--out", tmp_path / "e.csv") == 2
+        assert "error: every distance between datasets is 0" in capsys.readouterr().err
 
     def test_patch_cube_command(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -378,3 +378,6 @@ def test_distance_csv_rejects_malformed(tmp_path):
     p.write_text(",a,b\nx,0,1\nb,1,0\n")
     with pytest.raises(ValueError, match="label"):
         read_distance_csv(p)
+    p.write_text(",a,b\na,0,1\nb,x,0\n")
+    with pytest.raises(ValueError, match=r"^malformed distance CSV row: \['b', 'x', '0'\]$"):
+        read_distance_csv(p)
