@@ -10,148 +10,36 @@ embedding of the final distance matrix and a simulation harness round
 out the pipeline.
 """
 
-from topodist.alternating import (
-    PairOperator,
-    TripleOperator,
-    edge_weight,
-    pair_operator,
-    triangle_weight,
-    triple_operator,
-)
-from topodist.complexes import (
-    Simplex,
-    Skeleton,
-    WeightedComplex,
-    assign_weights,
-    complete_skeleton,
-    enforce_monotone,
-    filtration_order,
-    grid_skeleton,
-    raw_weights,
-    read_complex_csv,
-    write_complex_csv,
-)
-from topodist.dataset import (
-    Dataset,
-    GridShape,
-    Sample,
-    TorusSpec,
-    generate_torus_dataset,
-    load_dataset,
-    patch_cube,
-    save_dataset,
-)
-from topodist.diffusion import (
-    AffinityMatrix,
-    DiffusionOperator,
-    affinity,
-    diffusion_operator,
-    median_scale,
-    pairwise_distances,
-    sample_diffusion_operator,
-)
-from topodist.embedding import (
-    Embedding,
-    diffusion_maps,
-    export_embedding,
-    read_embedding_csv,
-)
-from topodist.homology import (
-    BoundaryMatrix,
-    PersistenceDiagram,
-    PersistencePair,
-    Reduction,
-    boundary_matrix,
-    extract_diagram,
-    persistence_diagrams,
-    read_diagrams_csv,
-    reduce_matrix,
-    write_diagrams_csv,
-)
-from topodist.pipeline import (
-    PipelineConfig,
-    PipelineError,
-    build_weighted_complex,
-    cross_correlation_complex,
-    dimension_sweep,
-    graph_spectral_distances,
-    run_pipeline,
-    weight_profile,
-    write_weight_profile_csv,
-)
-from topodist.wasserstein import (
-    DatasetDistanceMatrix,
-    DiagramDistanceSpec,
-    diagonal_gap,
-    distance_matrix,
-    read_distance_csv,
+from topodist import (
+    alternating,
+    complexes,
+    dataset,
+    diffusion,
+    embedding,
+    homology,
+    pipeline,
     wasserstein,
-    write_distance_csv,
 )
 
-__all__ = [
-    "AffinityMatrix",
-    "BoundaryMatrix",
-    "Dataset",
-    "DatasetDistanceMatrix",
-    "DiagramDistanceSpec",
-    "DiffusionOperator",
-    "Embedding",
-    "GridShape",
-    "PairOperator",
-    "PersistenceDiagram",
-    "PersistencePair",
-    "PipelineConfig",
-    "PipelineError",
-    "Reduction",
-    "Sample",
-    "Simplex",
-    "Skeleton",
-    "TorusSpec",
-    "TripleOperator",
-    "WeightedComplex",
-    "affinity",
-    "assign_weights",
-    "boundary_matrix",
-    "build_weighted_complex",
-    "complete_skeleton",
-    "cross_correlation_complex",
-    "diagonal_gap",
-    "diffusion_maps",
-    "diffusion_operator",
-    "dimension_sweep",
-    "distance_matrix",
-    "edge_weight",
-    "enforce_monotone",
-    "export_embedding",
-    "extract_diagram",
-    "filtration_order",
-    "generate_torus_dataset",
-    "graph_spectral_distances",
-    "grid_skeleton",
-    "load_dataset",
-    "median_scale",
-    "pair_operator",
-    "pairwise_distances",
-    "patch_cube",
-    "persistence_diagrams",
-    "raw_weights",
-    "read_complex_csv",
-    "read_diagrams_csv",
-    "read_distance_csv",
-    "read_embedding_csv",
-    "reduce_matrix",
-    "run_pipeline",
-    "sample_diffusion_operator",
-    "save_dataset",
-    "triangle_weight",
-    "triple_operator",
-    "wasserstein",
-    "weight_profile",
-    "write_complex_csv",
-    "write_diagrams_csv",
-    "write_distance_csv",
-    "write_weight_profile_csv",
-]
+# each module's __all__ is the one list of its public names; read them
+# before the star imports, which rebind ``wasserstein`` to the function
+__all__: list[str] = []
+__all__ += alternating.__all__
+__all__ += complexes.__all__
+__all__ += dataset.__all__
+__all__ += diffusion.__all__
+__all__ += embedding.__all__
+__all__ += homology.__all__
+__all__ += pipeline.__all__
+__all__ += wasserstein.__all__
+
+from topodist.alternating import *
+from topodist.complexes import *
+from topodist.dataset import *
+from topodist.diffusion import *
+from topodist.embedding import *
+from topodist.homology import *
+from topodist.pipeline import *
+from topodist.wasserstein import *
 
 __version__ = "0.1.0"

@@ -371,9 +371,12 @@ def read_diagrams_csv(
                 death = math.inf if row[2] == "inf" else float(row[2])
             except ValueError:
                 raise ValueError(f"malformed diagram CSV row: {row}") from None
-            pair = PersistencePair(
-                degree, birth, death, birth_simplex=-1,
-                death_simplex=None if math.isinf(death) else -1,
-            )
+            try:
+                pair = PersistencePair(
+                    degree, birth, death, birth_simplex=-1,
+                    death_simplex=None if math.isinf(death) else -1,
+                )
+            except ValueError as exc:
+                raise ValueError(f"malformed diagram CSV row: {row}: {exc}") from None
             by_degree.setdefault(degree, []).append(pair)
     return {k: PersistenceDiagram(k, tuple(v)) for k, v in by_degree.items()}

@@ -205,17 +205,22 @@ def cross_correlation_complex(
     return _median_normalized(cx) if normalize else cx
 
 
-def _default_labels(datasets: Sequence[Dataset]) -> tuple[str, ...]:
-    return tuple(f"dataset_{i}" for i in range(len(datasets)))
-
-
-def _check_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
+def _labeled(
+    datasets: Sequence[Dataset], labels: Sequence[str] | None
+) -> tuple[list[Dataset], tuple[str, ...]]:
+    """The datasets as a list, at least two, with unique labels for them."""
+    datasets = list(datasets)
+    n = len(datasets)
+    if n < 2:
+        raise ValueError(f"need at least 2 datasets, got {n}")
+    if labels is None:
+        return datasets, tuple(f"dataset_{i}" for i in range(n))
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise ValueError(f"need {n} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
+    if len(set(labels)) != n:
         raise ValueError("dataset labels must be unique")
-    return labels
+    return datasets, labels
 
 
 def run_pipeline(
@@ -234,14 +239,7 @@ def run_pipeline(
     stage can be rerun from the saved files.  Deterministic: the same
     datasets and config produce byte-identical artifacts.
     """
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    labels = (
-        _check_labels(labels, len(datasets))
-        if labels is not None
-        else _default_labels(datasets)
-    )
+    datasets, labels = _labeled(datasets, labels)
 
     out = None
     if out_dir is not None:
@@ -288,14 +286,7 @@ def graph_spectral_distances(
     between their sorted eigenvalue vectors.  All datasets must have the
     same number of samples for the spectra to be comparable.
     """
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
-    labels = (
-        _check_labels(labels, len(datasets))
-        if labels is not None
-        else _default_labels(datasets)
-    )
+    datasets, labels = _labeled(datasets, labels)
     sizes = {len(d.samples) for d in datasets}
     if len(sizes) != 1:
         raise ValueError(f"spectral baseline needs equal sample counts, got {sorted(sizes)}")

@@ -417,15 +417,29 @@ def test_non_finite_birth_rejected_by_name(tmp_path, birth, death):
     # such a row used to reach the Wasserstein solver as an infeasible cost matrix
     p = tmp_path / "d.csv"
     p.write_text(f"degree,birth,death\n1,{birth},{death}\n")
-    with pytest.raises(ValueError, match=f"^birth must be finite, got {birth}$"):
+    row = re.escape(f"malformed diagram CSV row: {['1', birth, death]}")
+    with pytest.raises(ValueError, match=f"^{row}: birth must be finite, got {birth}$"):
         read_diagrams_csv(p)
 
 
-@pytest.mark.parametrize("row", ["x,0.0,1.0", "1,zero,1.0", "1,0.0,never"])
-def test_diagram_csv_names_the_malformed_row(tmp_path, row):
+MALFORMED_DIAGRAM_ROWS = [
+    ("x,0.0,1.0", ""),
+    ("1,zero,1.0", ""),
+    ("1,0.0,never", ""),
+    # rows that parse but make no persistence pair keep the pair's reason
+    ("2,0.0,1.0", ": degree must be 0 or 1, got 2"),
+    ("1,2.0,1.0", ": birth 2.0 exceeds death 1.0"),
+    ("1,nan,1.0", ": birth must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "row, reason", MALFORMED_DIAGRAM_ROWS, ids=[row for row, _ in MALFORMED_DIAGRAM_ROWS]
+)
+def test_diagram_csv_names_the_malformed_row(tmp_path, row, reason):
     p = tmp_path / "d.csv"
     p.write_text(f"degree,birth,death\n0,0.0,inf\n{row}\n")
-    message = re.escape(f"malformed diagram CSV row: {row.split(',')}")
+    message = re.escape(f"malformed diagram CSV row: {row.split(',')}{reason}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         read_diagrams_csv(p)
 

@@ -183,14 +183,15 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"dataset 'dataset_0', stage weights"):
             run_pipeline(datasets, PipelineConfig(skeleton="grid"))
 
-    def test_duplicate_labels_rejected(self):
+    @pytest.mark.parametrize("entry", [run_pipeline, graph_spectral_distances])
+    def test_duplicate_labels_rejected(self, entry):
         datasets = torus_datasets([1, 2])
-        with pytest.raises(ValueError, match="unique"):
-            run_pipeline(datasets, PipelineConfig(), labels=["same", "same"])
-
-    def test_single_dataset_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            run_pipeline(torus_datasets([1]), PipelineConfig())
+        with pytest.raises(ValueError, match="^dataset labels must be unique$"):
+            entry(datasets, PipelineConfig(), labels=["same", "same"])
+        with pytest.raises(ValueError, match="^need 2 labels, got 3$"):
+            entry(datasets, PipelineConfig(), labels=["a", "b", "c"])
+        with pytest.raises(ValueError, match="^need at least 2 datasets, got 1$"):
+            entry(datasets[:1], PipelineConfig())
 
     def test_far_outliers_do_not_stop_the_run(self):
         # one observation per sample so far away that its Gaussian affinity
@@ -236,20 +237,33 @@ class TestRunPipeline:
             assert np.isfinite(cx.weights).all()
             assert (cx.weights[cx.dims > 0] > 0.0).all()
 
+    @staticmethod
+    def assert_same_diagrams(dataset, relabeled):
+        _, diagrams = run_pipeline([dataset, relabeled], PipelineConfig())
+        for degree in (0, 1):
+            a, b = (d[degree] for d in diagrams.values())
+            assert wasserstein(a, b, DiagramDistanceSpec(p=2.0, degree=degree)) <= 1e-9
+            essential = [sorted(p.birth for p in d.pairs if p.is_essential) for d in (a, b)]
+            np.testing.assert_allclose(essential[0], essential[1], rtol=0.0, atol=1e-9)
+
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), perm=st.permutations(range(8)))
     def test_sample_permutation_leaves_diagrams_unchanged(self, seed, perm):
         dataset = generate_torus_dataset(dataclasses.replace(SPEC, n_samples=8, seed=seed))
         permuted = Dataset(tuple(dataset.samples[i] for i in perm), dataset.metadata)
-        _, diagrams = run_pipeline([dataset, permuted], PipelineConfig())
-        for degree in (0, 1):
-            original, relabeled = (d[degree] for d in diagrams.values())
-            spec = DiagramDistanceSpec(p=2.0, degree=degree)
-            assert wasserstein(original, relabeled, spec) <= 1e-9
-            essential = [
-                sorted(p.birth for p in d.pairs if p.is_essential) for d in (original, relabeled)
-            ]
-            np.testing.assert_allclose(essential[0], essential[1], rtol=0.0, atol=1e-9)
+        self.assert_same_diagrams(dataset, permuted)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), perm=st.permutations(range(SPEC.n_observations)))
+    def test_observation_relabeling_leaves_diagrams_unchanged(self, seed, perm):
+        # the j-th observations correspond across samples, so one relabeling
+        # of j applied to every sample must not change the diagrams
+        dataset = generate_torus_dataset(dataclasses.replace(SPEC, n_samples=8, seed=seed))
+        relabeled = Dataset(
+            tuple(Sample(s.observations[list(perm)], s.label) for s in dataset.samples),
+            dataset.metadata,
+        )
+        self.assert_same_diagrams(dataset, relabeled)
 
 
 class TestBaselines:
