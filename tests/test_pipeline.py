@@ -183,15 +183,18 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"dataset 'dataset_0', stage weights"):
             run_pipeline(datasets, PipelineConfig(skeleton="grid"))
 
-    @pytest.mark.parametrize("entry", [run_pipeline, graph_spectral_distances])
-    def test_duplicate_labels_rejected(self, entry):
+    def test_duplicate_labels_rejected(self):
         datasets = torus_datasets([1, 2])
-        with pytest.raises(ValueError, match="^dataset labels must be unique$"):
-            entry(datasets, PipelineConfig(), labels=["same", "same"])
-        with pytest.raises(ValueError, match="^need 2 labels, got 3$"):
-            entry(datasets, PipelineConfig(), labels=["a", "b", "c"])
-        with pytest.raises(ValueError, match="^need at least 2 datasets, got 1$"):
-            entry(datasets[:1], PipelineConfig())
+        for entry in (run_pipeline, graph_spectral_distances):
+            with pytest.raises(ValueError, match="^dataset labels must be unique$"):
+                entry(datasets, PipelineConfig(), labels=["same", "same"])
+            with pytest.raises(ValueError, match="^need 2 labels, got 3$"):
+                entry(datasets, PipelineConfig(), labels=["a", "b", "c"])
+
+    def test_single_dataset_rejected(self):
+        for entry in (run_pipeline, graph_spectral_distances):
+            with pytest.raises(ValueError, match="^need at least 2 datasets, got 1$"):
+                entry(torus_datasets([1]), PipelineConfig())
 
     def test_far_outliers_do_not_stop_the_run(self):
         # one observation per sample so far away that its Gaussian affinity
