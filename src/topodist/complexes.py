@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import compress
+from itertools import compress, repeat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -95,6 +95,11 @@ class Skeleton(Sequence[Simplex]):
     encodes as one int64 in base (max rank + 1), for up to 2**21 - 1
     distinct ids, and facets are found by binary search in the sorted codes.
     A malformed row, a duplicate or a missing facet raises ``ValueError``.
+
+    What depends on the rows alone is computed once, on first use, and
+    shared by every complex over the skeleton: the tie order
+    :func:`filtration_order` sorts weights in, and the ``dim,v0,v1,v2,``
+    text that :func:`write_complex_csv` starts each row with.
     """
 
     def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
@@ -148,6 +153,23 @@ class Skeleton(Sequence[Simplex]):
     @cached_property
     def _simplexes(self) -> tuple[Simplex, ...]:
         return tuple(Simplex(tuple(v for v in row if v >= 0)) for row in self.vertices.tolist())
+
+    @cached_property
+    def _tie_order(self) -> np.ndarray:
+        """Positions sorted by dimension, then by vertex ids: the order of
+        the rows that a filtration gives equal weights."""
+        v = self.vertices
+        return np.lexsort((v[:, 2], v[:, 1], v[:, 0], self.dims))
+
+    @cached_property
+    def _row_prefixes(self) -> np.ndarray:
+        """Per row, the ``dim,v0,v1,v2,`` text that starts its complex-CSV
+        line, blank cells for unused vertex slots, as an object array."""
+        ids = np.union1d(self.vertices, -1)  # the padding -1 sorts first: a blank cell
+        names = np.array(["", *map(str, ids[1:].tolist())], dtype=object)
+        cells = names[np.searchsorted(ids, self.vertices)].T.tolist()
+        rows = zip(map(str, self.dims.tolist()), *cells, repeat(""))
+        return np.array(list(map(",".join, rows)), dtype=object)
 
 
 def _facet_table(simplexes: Sequence[Simplex]) -> Skeleton:
@@ -564,12 +586,14 @@ def filtration_order(cx: WeightedComplex) -> list[int]:
     """Sublevel filtration order of a monotone complex.
 
     Simplexes sorted by weight ascending, breaking ties by dimension then by
-    vertex tuple, which guarantees every face precedes its cofaces.
+    vertex tuple, which guarantees every face precedes its cofaces.  The tie
+    order depends on the skeleton alone, so its :class:`Skeleton` sorts it
+    once, and each complex over that skeleton sorts its weights stably in it.
     """
     if not cx.is_monotone():
         raise ValueError("complex weights are not monotone; run enforce_monotone first")
-    v = cx.vertices
-    return np.lexsort((v[:, 2], v[:, 1], v[:, 0], cx.dims, cx.weights)).tolist()
+    tie = cx.simplexes._tie_order
+    return tie[np.argsort(cx.weights[tie], kind="stable")].tolist()
 
 
 def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
@@ -577,13 +601,19 @@ def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
 
     Weights are written with ``repr`` so the round trip is bit-exact, and
     the bytes are those :mod:`csv`'s writer gives, ``\\r\\n`` line ends included.
+    Each row is its skeleton's cached ``dim,v0,v1,v2,`` text followed by
+    its weight's text, which is formed once per distinct bit pattern (so
+    ``-0.0`` keeps its sign): monotone repair copies most triangle weights
+    from their edges.
     """
-    ids = np.union1d(cx.vertices, -1)  # the padding -1 sorts first: a blank cell
-    names = np.array(["", *map(str, ids[1:].tolist())], dtype=object)
-    cells = names[np.searchsorted(ids, cx.vertices)].T.tolist()
-    rows = zip(map(str, cx.dims.tolist()), *cells, map(repr, cx.weights.tolist()))
+    _, first, inverse = np.unique(
+        cx.weights.view(np.int64), return_index=True, return_inverse=True
+    )
+    texts = np.array([f"{w!r}\r\n" for w in cx.weights[first].tolist()], dtype=object)
+    rows = np.column_stack((cx.simplexes._row_prefixes, texts[inverse]))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["dim,v0,v1,v2,weight", *map(",".join, rows), ""]))
+        fh.write("dim,v0,v1,v2,weight\r\n")
+        fh.write("".join(rows.ravel().tolist()))
 
 
 def read_complex_csv(path: str | Path) -> WeightedComplex:

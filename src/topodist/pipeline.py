@@ -22,6 +22,7 @@ import numpy as np
 
 from topodist.complexes import (
     Simplex,
+    Skeleton,
     WeightedComplex,
     _median_normalized,
     assign_weights,
@@ -147,6 +148,21 @@ def _grid_shape(dataset: Dataset) -> tuple[int, int]:
     return rows, cols
 
 
+def _skeleton(
+    dataset: Dataset, config: PipelineConfig, built: dict[tuple, Skeleton]
+) -> Skeleton:
+    """The configured skeleton over ``dataset``'s samples, built once per
+    kind and shape in ``built``, which the caller keeps for one call."""
+    if config.skeleton == "grid":
+        key = ("grid", *_grid_shape(dataset))
+    else:
+        key = ("complete", len(dataset.samples))
+    if key not in built:
+        build = grid_skeleton if key[0] == "grid" else complete_skeleton
+        built[key] = build(*key[1:])
+    return built[key]
+
+
 def build_weighted_complex(
     dataset: Dataset,
     config: PipelineConfig,
@@ -158,12 +174,13 @@ def build_weighted_complex(
     at a time, so the operators are checked once, block by block, and no
     full stack of affinities or operators is held beside the centered one.
     """
-    n = len(dataset.samples)
-    if config.skeleton == "grid":
-        rows, cols = _grid_shape(dataset)
-        skeleton = grid_skeleton(rows, cols)
-    else:
-        skeleton = complete_skeleton(n)
+    return _weighted_complex(dataset, config, _skeleton(dataset, config, {}))
+
+
+def _weighted_complex(
+    dataset: Dataset, config: PipelineConfig, skeleton: Skeleton
+) -> WeightedComplex:
+    """:func:`build_weighted_complex` over a skeleton already built."""
     if config.weight_scheme == "cross-correlation":
         return cross_correlation_complex(
             skeleton, dataset, config.kernel_epsilon_factor, config.normalize
@@ -238,6 +255,13 @@ def run_pipeline(
     ``distances.csv`` and the effective ``config.json`` so any later
     stage can be rerun from the saved files.  Deterministic: the same
     datasets and config produce byte-identical artifacts.
+
+    Datasets of one shape (sample count, or grid) share one skeleton, built
+    once per call, and with it the tables that depend on the skeleton alone:
+    the filtration's tie order and the ``dim,v0,v1,v2,`` text of each
+    complex-CSV row.  Each artifact is the one the per-dataset functions
+    (:func:`build_weighted_complex`, :func:`~topodist.homology.persistence_diagrams`
+    and the writers) give for that dataset alone.
     """
     datasets, labels = _labeled(datasets, labels)
 
@@ -248,11 +272,12 @@ def run_pipeline(
         (out / "diagrams").mkdir(parents=True, exist_ok=True)
         config.to_json(out / "config.json")
 
+    built: dict[tuple, Skeleton] = {}
     diagrams: dict[str, dict[int, PersistenceDiagram]] = {}
     per_degree: list[PersistenceDiagram] = []
     for dataset, label in zip(datasets, labels):
         try:
-            cx = build_weighted_complex(dataset, config)
+            cx = _weighted_complex(dataset, config, _skeleton(dataset, config, built))
         except ValueError as exc:
             raise PipelineError(f"dataset {label!r}, stage weights: {exc}") from exc
         try:
@@ -291,13 +316,13 @@ def graph_spectral_distances(
     if len(sizes) != 1:
         raise ValueError(f"spectral baseline needs equal sample counts, got {sorted(sizes)}")
 
+    config = dataclasses.replace(config, skeleton="complete")
+    built: dict[tuple, Skeleton] = {}
     spectra = []
     for dataset, label in zip(datasets, labels):
         try:
             n = len(dataset.samples)
-            cx = build_weighted_complex(
-                dataset, dataclasses.replace(config, skeleton="complete")
-            )
+            cx = _weighted_complex(dataset, config, _skeleton(dataset, config, built))
             edges = cx.dims == 1
             a, b = cx.vertices[edges, 0], cx.vertices[edges, 1]
             w = np.zeros((n, n))
@@ -330,30 +355,29 @@ def weight_profile(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    edge_buckets: dict[int, list[float]] = {}
-    tri_buckets: dict[int, list[float]] = {}
+    complete = PipelineConfig(skeleton="complete")
+    built: dict[tuple, Skeleton] = {}
+    buckets: dict[tuple[int, int], list[np.ndarray]] = {}
     for offset in range(n_seeds):
         ds = generate_torus_dataset(dataclasses.replace(spec, seed=spec.seed + offset))
-        tuples = [set(t) for t in ds.metadata["index_tuples"]]
-        skeleton = complete_skeleton(len(ds.samples))
+        member = np.zeros((len(ds.samples), spec.m), dtype=bool)
+        for i, circles in enumerate(ds.metadata["index_tuples"]):
+            member[i, circles] = True
+        skeleton = _skeleton(ds, complete, built)
         raw = raw_weights(skeleton, _centered_stack(ds.samples))
-        for s, w in zip(skeleton, raw):
-            if s.dimension == 1:
-                a, b = s.vertices
-                common = len(tuples[a] & tuples[b])
-                edge_buckets.setdefault(common, []).append(float(w))
-            elif s.dimension == 2:
-                a, b, c = s.vertices
-                common = len(tuples[a] & tuples[b] & tuples[c])
-                tri_buckets.setdefault(common, []).append(float(w))
+        for dim in (1, 2):
+            of_dim = skeleton.dims == dim
+            # circles shared by all of a simplex's samples
+            common = member[skeleton.vertices[of_dim, : dim + 1]].all(axis=1).sum(axis=1)
+            weights = raw[of_dim]
+            for count in np.unique(common).tolist():
+                buckets.setdefault((dim, count), []).append(weights[common == count])
 
     rows: list[tuple[str, int, float, float, int]] = []
-    for kind, buckets in (("edge", edge_buckets), ("triangle", tri_buckets)):
-        for common in sorted(buckets):
-            vals = np.asarray(buckets[common])
-            rows.append(
-                (kind, common, float(vals.mean()), float(vals.std()), len(vals))
-            )
+    for dim, count in sorted(buckets):
+        vals = np.concatenate(buckets[dim, count])
+        kind = "edge" if dim == 1 else "triangle"
+        rows.append((kind, count, float(vals.mean()), float(vals.std()), len(vals)))
     return rows
 
 

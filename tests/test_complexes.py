@@ -1004,9 +1004,7 @@ def wide_complexes(draw) -> WeightedComplex:
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(wide_complexes())
-def test_complex_csv_bytes_match_the_csv_writer_and_round_trip(cx):
+def assert_csv_matches_the_csv_writer_and_round_trips(cx: WeightedComplex) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
         write_complex_csv(cx, ours)
@@ -1015,6 +1013,31 @@ def test_complex_csv_bytes_match_the_csv_writer_and_round_trip(cx):
         back = read_complex_csv(ours)
     assert np.array_equal(back.vertices, cx.vertices)
     assert back.weights.tobytes() == cx.weights.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_complexes())
+def test_complex_csv_bytes_match_the_csv_writer_and_round_trip(cx):
+    assert_csv_matches_the_csv_writer_and_round_trips(cx)
+
+
+@st.composite
+def signed_zero_complexes(draw) -> WeightedComplex:
+    """A drawn closed complex whose vertices weigh 0.0 or -0.0 and whose
+    edges and triangles draw from a few weights, so most weights repeat."""
+    cx = draw(closed_complexes())
+    pool = (-0.0, 0.0, 5e-324, 0.5, 1e300)
+    return WeightedComplex(cx.simplexes, np.array([
+        draw(st.sampled_from(pool[:2] if d == 0 else pool)) for d in cx.dims.tolist()
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_zero_complexes())
+def test_complex_csv_writes_each_signed_zero_and_repeat_as_the_csv_writer(cx):
+    # the writer forms one text per distinct weight: -0.0 and 0.0 compare
+    # equal but are distinct bit patterns, each written as repr gives it
+    assert_csv_matches_the_csv_writer_and_round_trips(cx)
 
 
 def test_empty_complex_csv_is_the_header_alone(tmp_path):

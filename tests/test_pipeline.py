@@ -6,6 +6,7 @@ the saved intermediates must give the same files.
 """
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topodist.pipeline as pipeline
 from reference_complexes import weight_of
 from topodist.cli import main
 from topodist.dataset import Dataset, Sample, TorusSpec, generate_torus_dataset, patch_cube
@@ -29,8 +31,15 @@ from topodist.pipeline import (
     weight_profile,
     write_weight_profile_csv,
 )
-from topodist.complexes import Simplex, assign_weights, complete_skeleton, read_complex_csv
+from topodist.complexes import (
+    Simplex,
+    assign_weights,
+    complete_skeleton,
+    read_complex_csv,
+    write_complex_csv,
+)
 from topodist.diffusion import DiffusionOperator
+from topodist.homology import persistence_diagrams, write_diagrams_csv
 from topodist.wasserstein import DiagramDistanceSpec, wasserstein
 
 
@@ -267,6 +276,64 @@ class TestRunPipeline:
             dataset.metadata,
         )
         self.assert_same_diagrams(dataset, relabeled)
+
+
+class TestSharedSkeleton:
+    """One skeleton per shape per call, and artifacts as if built alone."""
+
+    def spy(self, monkeypatch, name):
+        """The arguments of each call to ``topodist.pipeline.<name>``."""
+        calls, original = [], getattr(pipeline, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recorded)
+        return calls
+
+    def assert_shared_and_per_dataset(self, monkeypatch, tmp_path, datasets, config, build):
+        builds = self.spy(monkeypatch, build)
+        homology = self.spy(monkeypatch, "persistence_diagrams")
+        labels = [f"d{i}" for i in range(len(datasets))]
+        shapes = [len(d.samples) for d in datasets]
+        run_pipeline(datasets, config, out_dir=tmp_path / "run", labels=labels)
+        assert len(builds) == len(set(shapes))
+        skeletons = [cx.simplexes for cx, in homology]
+        for i, j in itertools.combinations(range(len(datasets)), 2):
+            assert (skeletons[i] is skeletons[j]) == (shapes[i] == shapes[j])
+        # no cache outlives a call
+        run_pipeline(datasets, config, labels=labels)
+        assert len(builds) == 2 * len(set(shapes))
+
+        out = tmp_path / "run"
+        for dataset, label in zip(datasets, labels):
+            cx = build_weighted_complex(dataset, config)
+            write_complex_csv(cx, tmp_path / "cx.csv")
+            write_diagrams_csv(persistence_diagrams(cx).values(), tmp_path / "pd.csv")
+            assert (tmp_path / "cx.csv").read_bytes() == (
+                out / "complexes" / f"{label}.csv"
+            ).read_bytes()
+            assert (tmp_path / "pd.csv").read_bytes() == (
+                out / "diagrams" / f"{label}.csv"
+            ).read_bytes()
+
+    def test_complete_skeleton_is_built_once_per_sample_count(self, monkeypatch, tmp_path):
+        datasets = [
+            generate_torus_dataset(dataclasses.replace(SPEC, n_samples=n, seed=seed))
+            for seed, n in ((1, 4), (2, 4), (3, 5))
+        ]
+        self.assert_shared_and_per_dataset(
+            monkeypatch, tmp_path, datasets, PipelineConfig(), "complete_skeleton"
+        )
+
+    def test_grid_skeleton_is_built_once_per_grid(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(2)
+        datasets = [patch_cube(rng.normal(size=(6, 9, 5)), 3)[0] for _ in range(3)]
+        config = PipelineConfig(skeleton="grid", degree=0)
+        self.assert_shared_and_per_dataset(
+            monkeypatch, tmp_path, datasets, config, "grid_skeleton"
+        )
 
 
 class TestBaselines:
