@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -283,32 +283,27 @@ def grid_skeleton(rows: int, cols: int) -> Skeleton:
 _ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
 
 
-def _triangle_groups(
-    corners: np.ndarray, sides: np.ndarray, keep: np.ndarray | None = None
-) -> list[tuple]:
+def _triangle_groups(corners: np.ndarray, sides: np.ndarray, chunk: int) -> Iterator[tuple]:
     """Groups of the triangles with vertices ``corners[t] = (a, b, c)`` and
-    edge ranks ``sides[t] = (bc, ac, ab)``, listed in skeleton order.
+    edge ranks ``sides[t] = (bc, ac, ab)``, listed in skeleton order, each
+    to be weighed in one stacked product.
 
-    Returns one ``(lo, hi, a, b, ab, c, bc, ac, pad)`` per run
-    ``lo:hi`` of triangles sharing a first edge: vertices ``a``, ``b`` and
-    the rank ``ab`` of that edge among the edges are fixed, while the run's
+    Returns one ``(at, a, b, ab, c, bc, ac)`` per group, where ``at`` picks
+    the group's triangles and the rest their vertices and edge ranks.  A
+    run ``lo:hi`` of at least ``chunk`` triangles sharing a first edge is a
+    group of its own, ``at = slice(lo, hi)``: vertices ``a``, ``b`` and the
+    rank ``ab`` of that edge among the edges are fixed, while the run's
     vertices ``c`` and edge ranks ``bc`` and ``ac`` come as a slice where
     each is one more than the one before it, as in a complete skeleton, and
-    as an array of them elsewhere.
-
-    With ``keep``, a mask over the triangles, only the kept triangles are
-    grouped, ``lo:hi`` counts kept triangles, and each group lies within one
-    run of the whole table.  ``pad`` marks a group of one triangle cut from
-    a longer run.
+    as an array of them elsewhere.  The triangles of shorter runs are
+    pooled in order and cut into groups of ``chunk``, the last one shorter,
+    whose fields are all arrays, gathered only when the group is reached.
     """
     a, b, c = corners.T
     bc, ac, ab = sides.T
-    run = np.cumsum(np.diff(ab, prepend=-1) != 0)
-    longer = np.bincount(run) > 1
-    if keep is not None:
-        a, b, c, ab, bc, ac, run = (x[keep] for x in (a, b, c, ab, bc, ac, run))
-    bounds = np.flatnonzero(np.diff(run, prepend=-1, append=-1))
-    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
+    bounds = np.flatnonzero(np.diff(ab, prepend=-1, append=-1))
+    long = np.diff(bounds) >= chunk
+    starts, ends = bounds[:-1][long].tolist(), bounds[1:][long].tolist()
 
     def stacked(ids: np.ndarray) -> list[slice | np.ndarray]:
         # steps[i] counts the places before i where an id is not one more
@@ -319,13 +314,14 @@ def _triangle_groups(
             for first, lo, hi in zip(ids[starts].tolist(), starts, ends)
         ]
 
-    groups = zip(
-        starts, ends,
+    runs = zip(
+        map(slice, starts, ends),
         *(x[starts].tolist() for x in (a, b, ab)),
         *(stacked(x) for x in (c, bc, ac)),
-        ((np.diff(bounds) == 1) & longer[run[starts]]).tolist(),
     )
-    return list(groups)
+    pool = np.flatnonzero(np.repeat(~long, np.diff(bounds)))
+    chunks = (pool[lo : lo + chunk] for lo in range(0, len(pool), chunk))
+    return chain(runs, ((t, a[t], b[t], ab[t], c[t], bc[t], ac[t]) for t in chunks))
 
 
 # a triangle is certified when its bound clears the level that matters by
@@ -402,23 +398,35 @@ def raw_weights(
     through :func:`assign_weights`, which skips the triangles whose weight
     monotone repair overwrites.
 
-    Each run of triangles that are listed one after another and share a
-    first edge ``ab`` is weighed together: their ``G_c``, ``C_bc`` and
-    ``C_ac`` are stacked against the fixed ``C_ab``, ``G_a`` and ``G_b`` in
-    three stacked matrix products.  Stacks are views where their ids run
-    consecutively, which holds for every run of a skeleton in canonical
-    (lexicographic vertex) order, as :func:`complete_skeleton` and
-    :func:`grid_skeleton` give it, and gathered copies elsewhere.  Memory
-    held, beside the operators as given: their ``n L^2`` centered stack,
-    the ``E L^2`` pair stack for ``E`` edges, and ``3 k L^2`` temporaries
-    for a run of ``k`` triangles, or ``6 k L^2`` when its three operand
-    stacks are gathered.  When several simplexes have a zero centered
-    operator, the error names the first of them in skeleton order.
+    Triangles are weighed in three stacked matrix products per group, and
+    a group is chosen by operand size.  A chunk is as many triangles as
+    fit three operand stacks into ``_CHUNK_BYTES`` (256 KiB): 27 at
+    ``L = 20``, one from ``L = 74`` on.  A run of triangles that are listed
+    one after another, share a first edge ``ab`` and fill a chunk is
+    weighed on its own: their ``G_c``, ``C_bc`` and ``C_ac`` are stacked
+    against the fixed ``C_ab``, ``G_a`` and ``G_b``.  Those stacks are
+    views where their ids run consecutively, which holds for every run of
+    a skeleton in canonical (lexicographic vertex) order, as
+    :func:`complete_skeleton` and :func:`grid_skeleton` give it, and
+    gathered copies elsewhere.  The triangles of shorter runs are pooled
+    in skeleton order and weighed a chunk at a time, all six operands
+    gathered, so many short runs cost a few calls instead of one each.  A
+    stack of one triangle is summed as two copies of itself, since einsum
+    sums a one-matrix stack in another order from ``L = 91`` on.  So a
+    triangle's weight does not depend on the group it lands in, nor on the
+    order of the skeleton: permuting the skeleton permutes the weights bit
+    for bit.  Memory held, beside the operators as given: their ``n L^2``
+    centered stack, the ``E L^2`` pair stack for ``E`` edges, and ``3 k
+    L^2`` temporaries for a run of ``k`` triangles, or ``6 k L^2`` when its
+    three operand stacks are gathered; a pooled chunk holds at most four
+    stacks of its matrices at once, about 4/3 of ``_CHUNK_BYTES``.  When
+    several simplexes have a zero centered operator, the error names the
+    first of them in skeleton order.
 
-    ``workers`` > 1 weighs the runs on that many threads; the result does
-    not depend on it.  No library function passes it: it exists for the
-    benchmark's threading probe, which has not shown it faster than serial
-    on two cores.
+    ``workers`` > 1 weighs the groups, runs and pooled chunks alike, on
+    that many threads; the result does not depend on it.  No library
+    function passes it: it exists for the benchmark's threading probe,
+    which has not shown it faster than serial on two cores.
     """
     return _weights(skeleton, *_centered_operators(operators), workers)
 
@@ -489,31 +497,33 @@ def _weights(
     rank = np.empty(len(dims), dtype=np.intp)
     rank[edges] = np.arange(len(edges))
     corners, sides = vertices[triangles], rank[facets[triangles]]
-    keep = None
     if certify and len(triangles):
         # a triangle whose norm reaches 1 / (its largest edge weight) has a
         # raw weight below that edge's, which monotone repair then gives it
         top = weights[facets[triangles]].max(axis=1)
         keep = ~_certified(g, pairs, corners, sides, 1.0 / top)
-        triangles = triangles[keep]
-    groups = _triangle_groups(corners, sides, keep)
+        triangles, corners, sides = triangles[keep], corners[keep], sides[keep]
+    # triangles whose three operand stacks fill one gathered chunk
+    chunk = max(1, _CHUNK_BYTES // max(1, 3 * 8 * size * size))
+    groups = _triangle_groups(corners, sides, chunk)
     squared = np.empty(len(triangles))
 
-    def weigh(lo: int, hi: int, a: int, b: int, ab: int, c, bc, ac, pad: bool) -> None:
+    def weigh(at, a, b, ab, c, bc, ac) -> None:
         # each face's C multiplies the opposite vertex's G
         z = np.matmul(g[c], pairs[ab])
         z += np.matmul(g[a], pairs[bc])
         z += np.matmul(g[b], pairs[ac])
-        if pad:
+        k = len(z)
+        if k == 1:
             # einsum sums a one-matrix stack in another order (from L = 91),
-            # so a triangle cut from a longer run is summed as in that run
+            # so a lone triangle is summed as in a longer stack
             z = np.concatenate((z, z))
         s = np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z)
-        squared[lo:hi] = s[: hi - lo]
+        squared[at] = s[:k]
 
-    if workers is not None and workers > 1 and groups:
+    if workers is not None and workers > 1:
         # matrix products release the GIL, so threads buy real parallelism;
-        # each group writes its own slice, keeping the output order-independent
+        # each group writes its own triangles, keeping the output order-independent
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda group: weigh(*group), groups))
     else:

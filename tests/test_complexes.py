@@ -251,12 +251,14 @@ def test_an_array_of_operators_is_rejected():
             assign_weights(complete_skeleton(3), given)
 
 
-def test_raw_weights_threads_match_serial():
+@pytest.mark.parametrize("size", [20, 100])
+def test_raw_weights_threads_match_serial(size):
+    # L = 20 pools the runs into gathered chunks, L = 100 weighs each on its own
     data = generate_torus_dataset(
-        TorusSpec(m=4, n_samples=6, n_observations=30, r_max=3.0, sigma=0.1, seed=31)
+        TorusSpec(m=4, n_samples=8, n_observations=size, r_max=3.0, sigma=0.1, seed=31)
     )
     ops = [sample_diffusion_operator(s) for s in data.samples]
-    skeleton = complete_skeleton(6)
+    skeleton = complete_skeleton(8)
     assert np.array_equal(raw_weights(skeleton, ops, workers=2), raw_weights(skeleton, ops))
 
 
@@ -652,8 +654,8 @@ def test_raw_weights_match_the_operator_oracle(cx):
 
 
 def test_raw_weights_in_full_groups_with_an_odd_operator_size():
-    # nine vertices: groups of up to seven triangles; L = 25 leaves the
-    # stacked matrices off 64-byte boundaries
+    # nine vertices: runs of up to seven triangles, pooled into gathered
+    # chunks; L = 25 leaves the stacked matrices off 64-byte boundaries
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=9, n_observations=25, r_max=3.0, sigma=0.1, seed=67)
     )
@@ -666,13 +668,13 @@ def test_raw_weights_in_full_groups_with_an_odd_operator_size():
     assert np.array_equal(permuted, weights[perm])
 
 
-def triangle_groups_of(cx: WeightedComplex):
+def triangle_groups_of(cx: WeightedComplex, chunk: int = 1):
     """The positions of the edges and triangles of ``cx`` and the groups of
     its triangles, from the tables ``_weights`` passes."""
     edges, triangles = np.flatnonzero(cx.dims == 1), np.flatnonzero(cx.dims == 2)
     rank = np.cumsum(cx.dims == 1) - 1
-    groups = _triangle_groups(cx.vertices[triangles], rank[cx.facets[triangles]])
-    return edges, triangles, groups
+    groups = _triangle_groups(cx.vertices[triangles], rank[cx.facets[triangles]], chunk)
+    return edges, triangles, list(groups)
 
 
 def test_a_complete_skeleton_gives_one_view_per_first_edge():
@@ -684,15 +686,33 @@ def test_a_complete_skeleton_gives_one_view_per_first_edge():
     edge_list = list(itertools.combinations(range(n), 2))
     assert [skeleton[i].vertices for i in edges] == edge_list
     assert [skeleton[i].vertices for i in triangles] == list(itertools.combinations(range(n), 3))
-    assert [(a, b) for _, _, a, b, *_ in groups] == list(itertools.combinations(range(n - 1), 2))
-    for lo, hi, a, b, ab, c, bc, ac, pad in groups:
-        assert all(isinstance(run, slice) for run in (c, bc, ac)) and not pad
-        assert [skeleton[i].vertices for i in triangles[lo:hi]] == [
-            (a, b, v) for v in range(n)[c]
-        ]
+    assert [(a, b) for _, a, b, *_ in groups] == list(itertools.combinations(range(n - 1), 2))
+    for at, a, b, ab, c, bc, ac in groups:
+        assert all(isinstance(run, slice) for run in (at, c, bc, ac))
+        assert [skeleton[i].vertices for i in triangles[at]] == [(a, b, v) for v in range(n)[c]]
         assert edge_list[ab] == (a, b)
         assert edge_list[bc] == [(b, v) for v in range(b + 1, n)]
         assert edge_list[ac] == [(a, v) for v in range(b + 1, n)]
+
+
+def test_runs_shorter_than_a_chunk_are_pooled_in_order():
+    # n = 7 has runs of 5, 4, 3, 2 and 1 triangles: with chunk 3 the runs of
+    # at least 3 stay views, and the rest is cut into gathered chunks of 3
+    n = 7
+    skeleton = complete_skeleton(n)
+    cx = WeightedComplex(tuple(skeleton), np.zeros(len(skeleton)))
+    _, triangles, groups = triangle_groups_of(cx, chunk=3)
+    runs = [g for g in groups if isinstance(g[0], slice)]
+    chunks = [g for g in groups if not isinstance(g[0], slice)]
+    assert all(g[0].stop - g[0].start >= 3 for g in runs)
+    assert {len(g[0]) for g in chunks[:-1]} == {3} and len(chunks[-1][0]) < 3
+    pooled = np.concatenate([g[0] for g in chunks])
+    assert np.array_equal(pooled, np.sort(pooled))
+    covered = np.concatenate([np.arange(len(triangles))[g[0]] for g in groups])
+    assert np.array_equal(np.sort(covered), np.arange(len(triangles)))
+    for at, a, b, ab, c, bc, ac in chunks:
+        corners = np.stack([a, b, c], axis=1)
+        assert [tuple(v) for v in corners.tolist()] == [skeleton[i].vertices for i in triangles[at]]
 
 
 def test_a_run_out_of_order_is_gathered():
@@ -714,7 +734,7 @@ def test_a_run_out_of_order_is_gathered():
     assert np.array_equal(weights, [by_simplex[s] for s in shuffled])
     cx = WeightedComplex(tuple(shuffled), np.zeros(len(shuffled)))
     _, _, groups = triangle_groups_of(cx)
-    (_, _, _, _, _, c, bc, ac, _), = [g for g in groups if g[2:4] == (0, 1)]
+    (_, _, _, _, c, bc, ac), = [g for g in groups if g[1:3] == (0, 1)]
     assert c.tolist() == [2, 4, 3, 5]
     assert not any(isinstance(run, slice) for run in (bc, ac))
 
@@ -903,24 +923,51 @@ def test_the_subspace_has_ceil_sqrt_l_orthonormal_columns(size):
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
 
 
-def test_a_triangle_cut_alone_from_a_longer_run_keeps_its_bits(monkeypatch):
-    # at L = 100 einsum sums a one-matrix stack in another order than a
-    # longer one, so the lone kept triangle of a run is weighed in two rows
+@pytest.mark.parametrize("chunk", [1, 3, 100])
+def test_weight_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # L = 100 makes every run fill a chunk, and einsum sums a one-matrix
+    # stack in another order there; chunks of 3 triangles leave the run on
+    # (0, 1) a view and pool the other 7 into chunks of 3, 3 and 1, and
+    # chunks of 100 pool all 10 into one
     data = generate_torus_dataset(
         TorusSpec(m=8, n_samples=5, n_observations=100, r_max=15.0, sigma=0.1, seed=8)
     )
     ops = [sample_diffusion_operator(s) for s in data.samples]
     skeleton = complete_skeleton(5)
+    want, want_monotone = raw_weights(skeleton, ops), monotone_raw(skeleton, ops)
     groups, triangle_groups = [], complexes._triangle_groups
 
     def spy(*args):
-        groups.append(triangle_groups(*args))
+        groups.append(list(triangle_groups(*args)))
         return groups[-1]
 
+    monkeypatch.setattr(complexes, "_CHUNK_BYTES", chunk * 3 * 8 * 100**2)
     monkeypatch.setattr(complexes, "_triangle_groups", spy)
-    got = assign_weights(skeleton, ops).weights
-    assert any(pad for *_, pad in groups[-1])
-    assert np.array_equal(got, monotone_raw(skeleton, ops))
+    assert np.array_equal(raw_weights(skeleton, ops), want)
+    sizes = [np.arange(10)[at].size for at, *_ in groups[-1]]
+    viewed = [isinstance(at, slice) for at, *_ in groups[-1]]
+    assert (sizes, viewed) == {
+        1: ([3, 2, 1, 2, 1, 1], [True] * 6),
+        3: ([3, 3, 3, 1], [True, False, False, False]),
+        100: ([10], [False]),
+    }[chunk]
+    assert np.array_equal(assign_weights(skeleton, ops).weights, want_monotone)
+
+
+@pytest.mark.parametrize("size", [20, 100])
+def test_permuting_a_skeleton_permutes_its_weights(size):
+    # most triangles of a shuffled skeleton are alone in their run; at
+    # L = 100 each is summed as in a longer stack
+    data = generate_torus_dataset(
+        TorusSpec(m=8, n_samples=6, n_observations=size, r_max=15.0, sigma=0.1, seed=8)
+    )
+    ops = [sample_diffusion_operator(s) for s in data.samples]
+    skeleton = complete_skeleton(6)
+    perm = np.random.default_rng(3).permutation(len(skeleton))
+    permuted = [skeleton[i] for i in perm]
+    assert np.array_equal(raw_weights(permuted, ops), raw_weights(skeleton, ops)[perm])
+    want = assign_weights(skeleton, ops).weights[perm]
+    assert np.array_equal(assign_weights(permuted, ops).weights, want)
 
 
 def test_assign_weights_names_the_first_zero_triangle_in_skeleton_order():
