@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from topodist.dataset import _readonly
-from topodist.diffusion import _EPS, DiffusionOperator
+from topodist.diffusion import _EPS, _ZERO, DiffusionOperator
 
 __all__ = [
     "PairOperator",
@@ -158,10 +158,7 @@ def _inverse_centered_frobenius(entries: np.ndarray, what: str) -> float:
     norm = math.sqrt(np.vdot(centered, centered))
     # below the rounding level of the entries the centered part is noise
     if norm <= n * _EPS * math.sqrt(np.vdot(entries, entries)):
-        raise ValueError(
-            f"{what} is the zero matrix once its constant part is removed; "
-            "its weight is infinite"
-        )
+        raise ValueError(f"{what} {_ZERO}")
     return 1.0 / norm
 
 

@@ -27,11 +27,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from topodist.diffusion import (
-    _CHUNK_BYTES,
-    _EPS,
+    _ZERO,
     DiffusionOperator,
     _Centered,
     _centered,
+    _is_noise,
+    _norms,
+    _per_chunk,
 )
 
 __all__ = [
@@ -280,9 +282,6 @@ def grid_skeleton(rows: int, cols: int) -> Skeleton:
     return Skeleton(np.concatenate([_padded(t) for t in tables]))
 
 
-_ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
-
-
 def _triangle_groups(corners: np.ndarray, sides: np.ndarray, chunk: int) -> Iterator[tuple]:
     """Groups of the triangles with vertices ``corners[t] = (a, b, c)`` and
     edge ranks ``sides[t] = (bc, ac, ab)``, listed in skeleton order, each
@@ -345,6 +344,16 @@ def _subspace(g: np.ndarray) -> np.ndarray:
     return np.linalg.qr(y)[0]
 
 
+def _symmetrized_squares(z: np.ndarray) -> np.ndarray:
+    """``||Z + Z^T||_F^2`` of each matrix ``Z`` of a stack, in one order whatever its length."""
+    k = len(z)
+    if k == 1:
+        # einsum sums a one-matrix stack in another order (from L = 91),
+        # so a lone matrix is summed as in a longer stack
+        z = np.concatenate((z, z))
+    return 2.0 * (np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z))[:k]
+
+
 def _certified(
     g: np.ndarray, pairs: np.ndarray, corners: np.ndarray, sides: np.ndarray, need: np.ndarray
 ) -> np.ndarray:
@@ -362,13 +371,12 @@ def _certified(
     h = np.matmul(q.T, g)
     d = np.matmul(pairs, q)
     squared = np.empty(len(need))
-    chunk = max(1, _CHUNK_BYTES // (3 * h[0].nbytes))
+    chunk = _per_chunk(3 * h[0].nbytes)
     for lo in range(0, len(need), chunk):
         t = slice(lo, lo + chunk)
         # facet slot j drops vertex j: the products H_a D_bc, H_b D_ac, H_c D_ab
-        y = np.matmul(h[corners[t]], d[sides[t]]).sum(axis=1)
-        squared[t] = np.einsum("kij,kij->k", y, y) + np.einsum("kij,kji->k", y, y)
-    return 2.0 * squared >= ((1.0 + _MARGIN) * need) ** 2
+        squared[t] = _symmetrized_squares(np.matmul(h[corners[t]], d[sides[t]]).sum(axis=1))
+    return squared >= ((1.0 + _MARGIN) * need) ** 2
 
 
 def raw_weights(
@@ -400,7 +408,7 @@ def raw_weights(
 
     Triangles are weighed in three stacked matrix products per group, and
     a group is chosen by operand size.  A chunk is as many triangles as
-    fit three operand stacks into ``_CHUNK_BYTES`` (256 KiB): 27 at
+    fit three operand stacks into ``diffusion._CHUNK_BYTES`` (256 KiB): 27 at
     ``L = 20``, one from ``L = 74`` on.  A run of triangles that are listed
     one after another, share a first edge ``ab`` and fill a chunk is
     weighed on its own: their ``G_c``, ``C_bc`` and ``C_ac`` are stacked
@@ -472,8 +480,6 @@ def _weights(
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
     size = g.shape[1]
-    # a centered matrix is noise below this multiple of its factors' norms
-    tol = size * _EPS
     weights = np.zeros(len(skeleton))
 
     def guard(ids: np.ndarray, zero: np.ndarray, kind: str, operator: str) -> None:
@@ -485,13 +491,14 @@ def _weights(
     triangles = np.flatnonzero(dims == 2)
     pairs = np.empty((len(edges), size, size))
     a, b = vertices[edges, :2].T
-    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
+    step = _per_chunk(8 * size * size)
     for lo in range(0, len(edges), step):
         e = slice(lo, lo + step)
         m = np.matmul(g[a[e]], g[b[e]].transpose(0, 2, 1))
         np.add(m, m.transpose(0, 2, 1), out=pairs[e])
-    edge_norms = np.array([math.sqrt(np.vdot(p, p)) for p in pairs])
-    guard(edges, edge_norms <= tol * norms[a] * norms[b], "edge", "pair")
+    # a centered product is noise at the rounding level of its factors' norms
+    edge_norms = _norms(pairs)
+    guard(edges, _is_noise(edge_norms, norms[a] * norms[b], size), "edge", "pair")
     weights[edges] = 1.0 / edge_norms
 
     rank = np.empty(len(dims), dtype=np.intp)
@@ -504,8 +511,7 @@ def _weights(
         keep = ~_certified(g, pairs, corners, sides, 1.0 / top)
         triangles, corners, sides = triangles[keep], corners[keep], sides[keep]
     # triangles whose three operand stacks fill one gathered chunk
-    chunk = max(1, _CHUNK_BYTES // max(1, 3 * 8 * size * size))
-    groups = _triangle_groups(corners, sides, chunk)
+    groups = _triangle_groups(corners, sides, _per_chunk(3 * 8 * size * size))
     squared = np.empty(len(triangles))
 
     def weigh(at, a, b, ab, c, bc, ac) -> None:
@@ -513,13 +519,7 @@ def _weights(
         z = np.matmul(g[c], pairs[ab])
         z += np.matmul(g[a], pairs[bc])
         z += np.matmul(g[b], pairs[ac])
-        k = len(z)
-        if k == 1:
-            # einsum sums a one-matrix stack in another order (from L = 91),
-            # so a lone triangle is summed as in a longer stack
-            z = np.concatenate((z, z))
-        s = np.einsum("kij,kij->k", z, z) + np.einsum("kij,kji->k", z, z)
-        squared[at] = s[:k]
+        squared[at] = _symmetrized_squares(z)
 
     if workers is not None and workers > 1:
         # matrix products release the GIL, so threads buy real parallelism;
@@ -530,16 +530,15 @@ def _weights(
         for group in groups:
             weigh(*group)
     a, b, c = vertices[triangles].T
-    squared *= 2.0
-    guard(triangles, squared <= (tol * norms[a] * norms[b] * norms[c]) ** 2, "triangle", "triple")
-    weights[triangles] = 1.0 / np.sqrt(squared)
+    triangle_norms = np.sqrt(squared)
+    zero = _is_noise(triangle_norms, norms[a] * norms[b] * norms[c], size)
+    guard(triangles, zero, "triangle", "triple")
+    weights[triangles] = 1.0 / triangle_norms
     return weights
 
 
 def assign_weights(
-    skeleton: Sequence[Simplex],
-    operators: Sequence[DiffusionOperator] | _Centered,
-    normalize: bool = False,
+    skeleton: Sequence[Simplex], operators: Sequence[DiffusionOperator] | _Centered
 ) -> WeightedComplex:
     """Attach alternating-diffusion weights to a skeleton.
 
@@ -556,27 +555,10 @@ def assign_weights(
     ``k = ceil(sqrt(L))``.  ``operators`` takes either form of
     :func:`raw_weights`; the pipeline passes the centered stack, filled a
     block of samples at a time, so it holds no stack of operators ``K``.
-
-    With ``normalize=True`` all weights are divided by the median of the
-    monotone positive-dimension weights, the values the filtration sees,
-    making weight scales comparable across datasets with different
-    observation counts (the order within one filtration is unchanged).
     """
     skeleton = _facet_table(skeleton)
     g, norms = _centered_operators(operators)
-    cx = enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, g, norms, certify=True)))
-    return _median_normalized(cx) if normalize else cx
-
-
-def _median_normalized(cx: WeightedComplex) -> WeightedComplex:
-    """``cx`` with weights divided by their median over positive dimensions."""
-    positive = cx.weights[cx.dims > 0]
-    if not positive.size:
-        raise ValueError("no positive-dimension weight to normalize by (no edge or triangle)")
-    med = float(np.median(positive))
-    if med <= 0.0:
-        raise ValueError("median weight is not positive; cannot normalize")
-    return WeightedComplex(cx.simplexes, cx.weights / med)
+    return enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, g, norms, certify=True)))
 
 
 def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:

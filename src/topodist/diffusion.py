@@ -37,9 +37,25 @@ __all__ = [
 ]
 
 # bytes of operators in one block of samples, and of each gathered operand
-# stack of the edge products and of the bound in ``complexes``
+# stack of the edge products, triangle chunks and bound in ``complexes``
 _CHUNK_BYTES = 1 << 18
 _EPS = float(np.finfo(np.float64).eps)
+_ZERO = "is the zero matrix once its constant part is removed; its weight is infinite"
+
+
+def _per_chunk(nbytes: int) -> int:
+    """How many operands of ``nbytes`` bytes fit one :data:`_CHUNK_BYTES` chunk, at least one."""
+    return max(1, _CHUNK_BYTES // max(1, nbytes))
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of ``stack``."""
+    return np.array([math.sqrt(np.vdot(x, x)) for x in stack])
+
+
+def _is_noise(norms: np.ndarray, scale: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the ``norms`` at most ``size * eps * scale``, the rounding noise of ``scale``."""
+    return norms <= size * _EPS * scale
 
 
 @dataclass(frozen=True)
@@ -272,8 +288,8 @@ def _centered(k: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray,
         return k.copy(), np.zeros(len(k))
     g = np.subtract(k, k.mean(axis=1, keepdims=True), out=out)
     g -= g.mean(axis=2, keepdims=True)
-    norms = np.array([math.sqrt(np.vdot(x, x)) for x in g])
-    noise = norms <= k.shape[1] * _EPS * np.array([math.sqrt(np.vdot(x, x)) for x in k])
+    norms = _norms(g)
+    noise = _is_noise(norms, _norms(k), k.shape[1])
     g[noise] = 0.0
     norms[noise] = 0.0
     return g, norms
@@ -300,7 +316,7 @@ def _centered_stack(samples: Sequence[Sample], median_factor: float = 1.0) -> _C
     """
     size = _observation_count(samples, median_factor)
     index = _pair_index(size)
-    step = max(1, _CHUNK_BYTES // max(1, 8 * size * size))
+    step = _per_chunk(8 * size * size)
     n = len(samples)
     out = _Centered(np.empty((n, size, size)), np.empty(n), np.empty(n))
     for start in range(0, n, step):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,6 @@ from topodist.complexes import (
     Simplex,
     Skeleton,
     WeightedComplex,
-    _median_normalized,
     assign_weights,
     complete_skeleton,
     enforce_monotone,
@@ -73,6 +73,11 @@ class PipelineConfig:
     ``degree``/``p``/``infinite_policy``/``cap_value`` configure the
     diagram metric and are validated by :meth:`metric_spec`, and
     ``skeleton`` selects the complex built over each dataset's samples.
+    With ``normalize`` the pipeline divides each complex's weights, of
+    either ``weight_scheme``, by the median of its monotone
+    positive-dimension weights, the values the filtration sees, making
+    weight scales comparable across datasets with different observation
+    counts; the order within one filtration is unchanged.
     """
 
     kernel_epsilon_factor: float = 1.0
@@ -140,11 +145,13 @@ def _grid_shape(dataset: Dataset) -> tuple[int, int]:
         raise ValueError(
             "grid skeleton needs 'grid_rows' and 'grid_cols' in the dataset metadata"
         )
-    rows, cols = int(meta["grid_rows"]), int(meta["grid_cols"])
+    for key in ("grid_rows", "grid_cols"):
+        # operator.index takes Python and NumPy integers; a bool is not a count
+        if isinstance(meta[key], bool) or not hasattr(type(meta[key]), "__index__"):
+            raise ValueError(f"{key} must be an integer, got {meta[key]!r}")
+    rows, cols = operator.index(meta["grid_rows"]), operator.index(meta["grid_cols"])
     if rows * cols != len(dataset.samples):
-        raise ValueError(
-            f"grid {rows}x{cols} does not match {len(dataset.samples)} samples"
-        )
+        raise ValueError(f"grid {rows}x{cols} does not match {len(dataset.samples)} samples")
     return rows, cols
 
 
@@ -169,6 +176,10 @@ def build_weighted_complex(
 ) -> WeightedComplex:
     """Build the weighted complex for one dataset per the configured scheme.
 
+    With ``config.normalize`` the pipeline divides the weights of either
+    scheme by their median over positive dimensions here, after monotone
+    repair; the weighting functions themselves never normalize.
+
     The alternating scheme weighs the centered operators that
     :func:`~topodist.diffusion._centered_stack` fills a block of samples
     at a time, so the operators are checked once, block by block, and no
@@ -182,18 +193,26 @@ def _weighted_complex(
 ) -> WeightedComplex:
     """:func:`build_weighted_complex` over a skeleton already built."""
     if config.weight_scheme == "cross-correlation":
-        return cross_correlation_complex(
-            skeleton, dataset, config.kernel_epsilon_factor, config.normalize
-        )
-    centered = _centered_stack(dataset.samples, config.kernel_epsilon_factor)
-    return assign_weights(skeleton, centered, normalize=config.normalize)
+        cx = cross_correlation_complex(skeleton, dataset, config.kernel_epsilon_factor)
+    else:
+        centered = _centered_stack(dataset.samples, config.kernel_epsilon_factor)
+        cx = assign_weights(skeleton, centered)
+    return _median_normalized(cx) if config.normalize else cx
+
+
+def _median_normalized(cx: WeightedComplex) -> WeightedComplex:
+    """``cx`` with weights divided by their median over positive dimensions."""
+    positive = cx.weights[cx.dims > 0]
+    if not positive.size:
+        raise ValueError("no positive-dimension weight to normalize by (no edge or triangle)")
+    med = float(np.median(positive))
+    if med <= 0.0:
+        raise ValueError("median weight is not positive; cannot normalize")
+    return WeightedComplex(cx.simplexes, cx.weights / med)
 
 
 def cross_correlation_complex(
-    skeleton: Sequence[Simplex],
-    dataset: Dataset,
-    epsilon_factor: float = 1.0,
-    normalize: bool = False,
+    skeleton: Sequence[Simplex], dataset: Dataset, epsilon_factor: float = 1.0
 ) -> WeightedComplex:
     """Baseline weights from plain affinity correlations, no diffusion.
 
@@ -218,14 +237,14 @@ def cross_correlation_complex(
     edges, triangles = cx.dims == 1, cx.dims == 2
     weights[edges] = 1.0 / np.abs(r[edges, 0])
     weights[triangles] = 1.0 / np.sqrt((r[triangles] ** 2).sum(axis=1))
-    cx = enforce_monotone(WeightedComplex(cx.simplexes, weights))
-    return _median_normalized(cx) if normalize else cx
+    return enforce_monotone(WeightedComplex(cx.simplexes, weights))
 
 
 def _labeled(
     datasets: Sequence[Dataset], labels: Sequence[str] | None
 ) -> tuple[list[Dataset], tuple[str, ...]]:
-    """The datasets as a list, at least two, with unique labels for them."""
+    """The datasets as a list, at least two, with unique labels for them,
+    none holding a path separator, since each names a file."""
     datasets = list(datasets)
     n = len(datasets)
     if n < 2:
@@ -233,6 +252,9 @@ def _labeled(
     if labels is None:
         return datasets, tuple(f"dataset_{i}" for i in range(n))
     labels = tuple(str(x) for x in labels)
+    for label in labels:
+        if "/" in label or "\\" in label:
+            raise ValueError(f"dataset label {label!r} contains a path separator")
     if len(labels) != n:
         raise ValueError(f"need {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -306,17 +328,17 @@ def graph_spectral_distances(
 ) -> DatasetDistanceMatrix:
     """Baseline that skips homology: compare edge-weight spectra directly.
 
-    Each dataset becomes the symmetric matrix of its pairwise edge
-    weights; the distance between two datasets is the Euclidean distance
-    between their sorted eigenvalue vectors.  All datasets must have the
-    same number of samples for the spectra to be comparable.
+    Each dataset becomes the symmetric matrix of the weights of the
+    configured skeleton's edges, zero between samples that share no edge;
+    the distance between two datasets is the Euclidean distance between
+    their sorted eigenvalue vectors.  All datasets must have the same
+    number of samples for the spectra to be comparable.
     """
     datasets, labels = _labeled(datasets, labels)
     sizes = {len(d.samples) for d in datasets}
     if len(sizes) != 1:
         raise ValueError(f"spectral baseline needs equal sample counts, got {sorted(sizes)}")
 
-    config = dataclasses.replace(config, skeleton="complete")
     built: dict[tuple, Skeleton] = {}
     spectra = []
     for dataset, label in zip(datasets, labels):

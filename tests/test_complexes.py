@@ -18,6 +18,7 @@ from reference_complexes import (
     write_complex_csv_reference,
 )
 import topodist.complexes as complexes
+import topodist.diffusion as diffusion
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
 from topodist.complexes import (
     Simplex,
@@ -36,6 +37,7 @@ from topodist.complexes import (
 from topodist.dataset import Sample, TorusSpec, generate_torus_dataset
 from topodist.diffusion import DiffusionOperator, _centered_stack, sample_diffusion_operator
 from topodist.homology import boundary_matrix
+from topodist.pipeline import PipelineConfig, build_weighted_complex
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ def test_assign_weights_normalization_preserves_order():
     )
     ops = [sample_diffusion_operator(s) for s in data.samples]
     raw = assign_weights(complete_skeleton(5), ops)
-    norm = assign_weights(complete_skeleton(5), ops, normalize=True)
+    norm = build_weighted_complex(data, PipelineConfig(normalize=True))
     assert filtration_order(raw) == filtration_order(norm)
     pos = [i for i, s in enumerate(raw.simplexes) if s.dimension > 0]
     ratio = raw.weights[pos] / norm.weights[pos]
@@ -941,7 +943,7 @@ def test_weight_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
         groups.append(list(triangle_groups(*args)))
         return groups[-1]
 
-    monkeypatch.setattr(complexes, "_CHUNK_BYTES", chunk * 3 * 8 * 100**2)
+    monkeypatch.setattr(diffusion, "_CHUNK_BYTES", chunk * 3 * 8 * 100**2)
     monkeypatch.setattr(complexes, "_triangle_groups", spy)
     assert np.array_equal(raw_weights(skeleton, ops), want)
     sizes = [np.arange(10)[at].size for at, *_ in groups[-1]]
@@ -990,7 +992,8 @@ def test_normalize_divides_by_the_median_of_the_monotone_weights():
     monotone = assign_weights(skeleton, ops).weights
     median = np.median(monotone[skeleton.dims > 0])
     assert np.median(raw_weights(skeleton, ops)[skeleton.dims > 0]) != median
-    assert np.array_equal(assign_weights(skeleton, ops, normalize=True).weights, monotone / median)
+    normalized = build_weighted_complex(data, PipelineConfig(normalize=True))
+    assert np.array_equal(normalized.weights, monotone / median)
 
 
 # ---------------------------------------------------------------------------

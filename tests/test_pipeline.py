@@ -8,6 +8,7 @@ the saved intermediates must give the same files.
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -35,6 +36,7 @@ from topodist.complexes import (
     Simplex,
     assign_weights,
     complete_skeleton,
+    grid_skeleton,
     read_complex_csv,
     write_complex_csv,
 )
@@ -171,6 +173,23 @@ class TestRunPipeline:
         assert cx.count(0) == 6
         assert cx.count(2) == 2 * (grid.rows - 1) * (grid.cols - 1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid_rows", 2.9), ("grid_rows", "2"), ("grid_rows", True),
+         ("grid_cols", 3.0), ("grid_cols", np.float64(3.0))],
+    )
+    def test_grid_metadata_must_hold_integers(self, key, value):
+        # a 2 x 3 patch grid; int() would read 2.9 and "2" as 2 rows
+        dataset, _ = patch_cube(np.random.default_rng(0).normal(size=(6, 9, 5)), 3)
+        config = PipelineConfig(skeleton="grid")
+        bad = Dataset(dataset.samples, {**dataset.metadata, key: value})
+        message = f"^{key} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            build_weighted_complex(bad, config)
+        numpy_ints = {**dataset.metadata, "grid_rows": np.int64(2), "grid_cols": np.int32(3)}
+        cx = build_weighted_complex(Dataset(dataset.samples, numpy_ints), config)
+        assert cx.count(2) == 4
+
     def test_weights_hold_no_operator_stack_beside_the_centered_one(self):
         # 8 x 8 patches of 64 bands: the pair stack of the grid's edges and
         # the centered stack G, plus one block's temporaries; a full stack
@@ -199,6 +218,17 @@ class TestRunPipeline:
                 entry(datasets, PipelineConfig(), labels=["same", "same"])
             with pytest.raises(ValueError, match="^need 2 labels, got 3$"):
                 entry(datasets, PipelineConfig(), labels=["a", "b", "c"])
+
+    def test_labels_that_name_a_path_are_rejected(self, tmp_path):
+        # a label becomes a file name under complexes/ and diagrams/
+        datasets = torus_datasets([1, 2])
+        for entry in (run_pipeline, graph_spectral_distances):
+            out = {"out_dir": tmp_path / "run"} if entry is run_pipeline else {}
+            for label in ("../escaped", "a/b", "a\\b"):
+                message = f"^dataset label {re.escape(repr(label))} contains a path separator$"
+                with pytest.raises(ValueError, match=message):
+                    entry(datasets, PipelineConfig(), labels=[label, "c"], **out)
+        assert not any(tmp_path.iterdir())
 
     def test_single_dataset_rejected(self):
         for entry in (run_pipeline, graph_spectral_distances):
@@ -374,9 +404,17 @@ class TestBaselines:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                assign_weights(vertices, ops, normalize=True)
+                pipeline._median_normalized(assign_weights(vertices, ops))
             with pytest.raises(ValueError, match=message):
-                cross_correlation_complex(vertices, ds, normalize=True)
+                pipeline._median_normalized(cross_correlation_complex(vertices, ds))
+
+    @pytest.mark.parametrize("scheme", ["alternating", "cross-correlation"])
+    def test_normalize_divides_by_the_median_positive_weight(self, scheme):
+        ds = torus_datasets([4])[0]
+        plain = build_weighted_complex(ds, PipelineConfig(weight_scheme=scheme))
+        config = PipelineConfig(weight_scheme=scheme, normalize=True)
+        median = np.median(plain.weights[plain.dims > 0])
+        assert np.array_equal(build_weighted_complex(ds, config).weights, plain.weights / median)
 
     def test_cross_correlation_scheme_runs_in_pipeline(self):
         datasets = torus_datasets([1, 2])
@@ -392,6 +430,22 @@ class TestBaselines:
         assert np.array_equal(matrix.entries, matrix.entries.T)
         assert matrix.entries[0, 0] == 0.0
         assert matrix.entries[0, 1] > 0.0
+
+    def test_graph_spectral_uses_the_configured_skeleton(self):
+        rng = np.random.default_rng(5)
+        datasets = [patch_cube(rng.normal(size=(6, 9, 5)), 3)[0] for _ in range(3)]
+        config = PipelineConfig(skeleton="grid", degree=0)
+        spectra = []
+        for dataset in datasets:
+            cx = build_weighted_complex(dataset, config)
+            assert cx.simplexes.vertices.tolist() == grid_skeleton(2, 3).vertices.tolist()
+            edges = cx.dims == 1
+            a, b = cx.vertices[edges, :2].T
+            w = np.zeros((6, 6))
+            w[a, b] = w[b, a] = cx.weights[edges]
+            spectra.append(np.sort(np.linalg.eigvalsh(w)))
+        want = [[np.linalg.norm(x - y) for y in spectra] for x in spectra]
+        assert np.array_equal(graph_spectral_distances(datasets, config).entries, want)
 
     def test_graph_spectral_needs_equal_sample_counts(self):
         a = torus_datasets([1])[0]
