@@ -100,8 +100,14 @@ class Skeleton(Sequence[Simplex]):
 
     What depends on the rows alone is computed once, on first use, and
     shared by every complex over the skeleton: the tie order
-    :func:`filtration_order` sorts weights in, and the ``dim,v0,v1,v2,``
-    text that :func:`write_complex_csv` starts each row with.
+    :func:`filtration_order` sorts weights in, the cofacet index that
+    :func:`~topodist.homology.persistence_diagrams` reads coboundaries
+    from, and the ``dim,v0,v1,v2,`` text that :func:`write_complex_csv`
+    starts each row with.  The cofacet index lists, for each row, the rows
+    of the triangles it is a facet of: ``N + 1`` offsets and ``3 T``
+    triangle rows for ``T`` triangles, built with one sort.  It lives as
+    long as the skeleton, so the pipeline builds it once per skeleton per
+    call.
     """
 
     def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
@@ -164,6 +170,14 @@ class Skeleton(Sequence[Simplex]):
         return np.lexsort((v[:, 2], v[:, 1], v[:, 0], self.dims))
 
     @cached_property
+    def _cofacets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, triangles)``: row ``r`` is a facet of the triangle
+        rows ``triangles[offsets[r] : offsets[r + 1]]``, in skeleton order."""
+        triangles = np.flatnonzero(self.dims == 2)
+        offsets, ranks = _cofacet_index(self.facets[triangles], len(self))
+        return offsets, triangles[ranks]
+
+    @cached_property
     def _row_prefixes(self) -> np.ndarray:
         """Per row, the ``dim,v0,v1,v2,`` text that starts its complex-CSV
         line, blank cells for unused vertex slots, as an object array."""
@@ -172,6 +186,15 @@ class Skeleton(Sequence[Simplex]):
         cells = names[np.searchsorted(ids, self.vertices)].T.tolist()
         rows = zip(map(str, self.dims.tolist()), *cells, repeat(""))
         return np.array(list(map(",".join, rows)), dtype=object)
+
+
+def _cofacet_index(facets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed rows of the triangles over each of ``n`` edge keys, where
+    triangle ``t`` has the keys ``facets[t]``: key ``k`` lies on the
+    triangles ``ranks[offsets[k] : offsets[k + 1]]``, ascending."""
+    by_key = np.argsort(facets, axis=None, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(facets.ravel(), minlength=n))))
+    return offsets, by_key // 3
 
 
 def _facet_table(simplexes: Sequence[Simplex]) -> Skeleton:
@@ -582,10 +605,15 @@ def filtration_order(cx: WeightedComplex) -> list[int]:
     order depends on the skeleton alone, so its :class:`Skeleton` sorts it
     once, and each complex over that skeleton sorts its weights stably in it.
     """
+    return _filtration_order(cx).tolist()
+
+
+def _filtration_order(cx: WeightedComplex) -> np.ndarray:
+    """:func:`filtration_order` as an array."""
     if not cx.is_monotone():
         raise ValueError("complex weights are not monotone; run enforce_monotone first")
     tie = cx.simplexes._tie_order
-    return tie[np.argsort(cx.weights[tie], kind="stable")].tolist()
+    return tie[np.argsort(cx.weights[tie], kind="stable")]
 
 
 def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:

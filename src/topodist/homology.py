@@ -1,11 +1,13 @@
 """Persistent homology of weighted complexes over Z2.
 
-The sublevel filtration of a monotone weighted complex feeds a boundary
-matrix in filtration order, and :func:`reduce_matrix` pairs each death
-simplex with the birth it kills.  The pairing is the one a standard
-left-to-right column reduction gives, but it is found in three cheaper
-steps (Bauer 2021, "Ripser"; de Silva, Morozov & Vejdemo-Johansson 2011,
-"Dualities in persistent (co)homology"):
+The sublevel filtration of a monotone weighted complex is paired, each
+death simplex with the birth it kills: by :func:`persistence_diagrams`
+straight from the complex's tables, or by :func:`reduce_matrix` from a
+boundary matrix in filtration order.  Both run one pairing on arrays of
+filtration positions.  It is the one a standard left-to-right column
+reduction gives, but it is found in three cheaper steps (Bauer 2021,
+"Ripser"; de Silva, Morozov & Vejdemo-Johansson 2011, "Dualities in
+persistent (co)homology"):
 
 - degree 0 by union-find over the edges in filtration order, with the
   elder rule;
@@ -20,16 +22,17 @@ Degrees 0 and 1 are supported (the complexes stop at triangles).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from topodist.complexes import WeightedComplex, filtration_order
+from topodist.complexes import WeightedComplex, _cofacet_index, _filtration_order
 
 __all__ = [
     "BoundaryMatrix",
@@ -53,7 +56,7 @@ class BoundaryMatrix:
     ``order[j]`` is the id in the originating complex of the j-th simplex in
     the filtration, and its column lists the filtration positions of that
     simplex's facets.  Each column must be strictly increasing and name only
-    rows before its own position.
+    rows from 0 up to, not including, its own position.
 
     The columns are given and held flattened, as read-only copies:
     ``lengths`` (rows per column) and ``rows`` (all columns' rows,
@@ -73,12 +76,16 @@ class BoundaryMatrix:
         owner = np.repeat(np.arange(n), lengths)
         # a row at or below its predecessor in the same column
         unsorted = owner[1:][(owner[1:] == owner[:-1]) & (rows[1:] <= rows[:-1])]
-        late = owner[rows >= owner]
-        if unsorted.size and not (late.size and late[0] < unsorted[0]):
-            j = int(unsorted[0])
-            raise ValueError(f"column {j} is not strictly increasing: {self.columns[j]}")
-        if late.size:
-            raise ValueError(f"column {late[0]} references a row at or after itself")
+        faults = (
+            ("is not strictly increasing", unsorted),
+            ("references a negative row", owner[rows < 0]),
+            ("references a row at or after itself", owner[rows >= owner]),
+        )
+        # the first offending column is named, with the first check it breaks
+        found = [(int(cols[0]), i) for i, (_, cols) in enumerate(faults) if cols.size]
+        if found:
+            j, i = min(found)
+            raise ValueError(f"column {j} {faults[i][0]}: {self.columns[j]}")
         lengths.setflags(write=False)
         rows.setflags(write=False)
 
@@ -152,8 +159,17 @@ class PersistenceDiagram:
 
 def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix:
     """Combined Z2 boundary matrix of all simplexes in filtration order,
-    filled from the complex's ``facets`` table without a tuple per column."""
-    order = tuple(map(int, order))
+    filled from the complex's ``facets`` table without a tuple per column.
+
+    ``order`` holds Python or NumPy integers; a bool or a float is
+    rejected, not truncated."""
+    order = tuple(order)
+    # operator.index takes Python and NumPy integers; a bool is not an id
+    bad = {t for t in set(map(type, order)) if issubclass(t, bool) or not hasattr(t, "__index__")}
+    if bad:
+        first = next(x for x in order if type(x) in bad)
+        raise ValueError(f"order must hold integer simplex ids, got {first!r}")
+    order = tuple(map(operator.index, order))
     ids = np.array(order, dtype=np.intp)
     n = len(cx.dims)
     if len(ids) != n or not np.array_equal(np.sort(ids), np.arange(n)):
@@ -174,7 +190,7 @@ def _check_simplicial(m: BoundaryMatrix, starts: np.ndarray) -> None:
     owner = np.repeat(np.arange(len(lengths)), lengths)
     # the row count each column's rows must have; -1 for a bad column
     facet_len = np.select([lengths == 0, lengths == 2, lengths == 3], [0, 0, 2], -1)
-    row_ok = (rows >= 0) & (lengths[np.maximum(rows, 0)] == facet_len[owner])
+    row_ok = lengths[rows] == facet_len[owner]
     bad = np.concatenate([np.flatnonzero(facet_len < 0)[:1], owner[~row_ok][:1]])
     if not bad.size:
         # a triangle's three edges bound it: each corner is on two of them
@@ -188,6 +204,86 @@ def _check_simplicial(m: BoundaryMatrix, starts: np.ndarray) -> None:
             f"column {j} {m.columns[j]} is not a vertex, an edge over two vertices "
             "or a triangle over the three edges of its boundary"
         )
+
+
+def _pairing(
+    n: int,
+    edges: np.ndarray,
+    ends: np.ndarray,
+    triangles: np.ndarray,
+    youngest: np.ndarray,
+    index: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The persistence pairing of a filtration of ``n`` simplexes of
+    dimension at most 2, in filtration positions.
+
+    ``edges`` and ``triangles`` are the positions of the edges and of the
+    triangles, ascending; ``ends[i]`` holds the positions of the two
+    vertices of edge ``i``, and ``youngest[t]`` the position of the
+    youngest edge of triangle ``t``, its rank among the triangles.  The
+    cofacet index ``(offsets, ranks, key)`` lists the ranks of the
+    triangles on the edge at position ``e``, in any order, as
+    ``ranks[offsets[key[e]] : offsets[key[e] + 1]]``.
+
+    Returns the births and the deaths, by ascending death, and the
+    unpaired positions, ascending; :func:`reduce_matrix` says how.
+    """
+    offsets, ranks, key = index
+    # degree 0: union-find, each root the oldest vertex of its tree
+    parent = {v: v for v in np.unique(ends).tolist()}
+    births: list[int] = []
+    deaths: list[int] = []
+    cycles: list[int] = []
+    for e, (a, b) in zip(edges.tolist(), ends.tolist()):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            cycles.append(e)
+        else:
+            elder, younger = min(a, b), max(a, b)
+            parent[younger] = elder
+            births.append(younger)
+            deaths.append(e)
+
+    # apparent pairs: the triangle is the oldest cofacet of its youngest edge
+    oldest = np.full(len(offsets) - 1, -1)
+    cofaced = np.flatnonzero(np.diff(offsets))
+    if cofaced.size:
+        oldest[cofaced] = np.minimum.reduceat(ranks, offsets[cofaced])
+    apparent = np.flatnonzero(oldest[key[youngest]] == np.arange(len(triangles)))
+    apparent_edge = dict(zip(apparent.tolist(), youngest[apparent].tolist()))
+    births += youngest[apparent].tolist()
+    deaths += triangles[apparent].tolist()
+    left = np.setdiff1d(cycles, youngest[apparent])
+
+    def coboundary(e: int) -> int:
+        bits = np.zeros(len(triangles), dtype=bool)
+        bits[ranks[offsets[key[e]] : offsets[key[e] + 1]]] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    # cohomology of the degree-1 births left, youngest edge first
+    pivots: dict[int, int] = {}  # oldest cofacet -> reduced coboundary owning it
+    for e in left[::-1].tolist():
+        col = coboundary(e)
+        while col:
+            low = (col & -col).bit_length() - 1
+            owner = pivots.get(low)
+            if owner is None and low in apparent_edge:
+                owner = pivots[low] = coboundary(apparent_edge[low])
+            if owner is None:
+                pivots[low] = col
+                births.append(e)
+                deaths.append(int(triangles[low]))
+                break
+            col ^= owner
+
+    born, died = np.array(births, dtype=np.intp), np.array(deaths, dtype=np.intp)
+    by_death = np.argsort(died)
+    unpaired = np.ones(n, dtype=bool)
+    unpaired[born] = unpaired[died] = False
+    return born[by_death], died[by_death], np.flatnonzero(unpaired)
 
 
 def reduce_matrix(m: BoundaryMatrix) -> Reduction:
@@ -216,76 +312,62 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
       has to add it.  An edge whose coboundary reduces to zero is essential.
 
     Every simplex left unpaired is essential, triangles included.
+
+    The steps run in one private pairing core on arrays of filtration
+    positions, which :func:`persistence_diagrams` feeds from a complex's
+    tables and this function from the matrix's rows.  Here the cofacet
+    index, each edge's triangles, comes from one sort of the triangle
+    columns' rows; the oldest cofacets and the apparent pairs are array
+    operations, and only union-find and the cohomology columns loop in
+    Python.
     """
     lengths, rows = m.lengths, m.rows
     starts = np.cumsum(lengths) - lengths
     _check_simplicial(m, starts)
-
-    # degree 0: union-find, each root the oldest vertex of its tree
-    parent = {v: v for v in np.flatnonzero(lengths == 0).tolist()}
-    births: list[int] = []
-    deaths: list[int] = []
-    cycles: list[int] = []
-    edges = np.flatnonzero(lengths == 2)
-    for e, (a, b) in zip(edges.tolist(), rows[starts[edges, None] + [0, 1]].tolist()):
-        while a != parent[a]:
-            parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            cycles.append(e)
-        else:
-            elder, younger = min(a, b), max(a, b)
-            parent[younger] = elder
-            births.append(younger)
-            deaths.append(e)
-
-    # cofacets of each edge, oldest first, as triangle ranks
-    triangles = np.flatnonzero(lengths == 3)
+    n = len(lengths)
+    edges, triangles = np.flatnonzero(lengths == 2), np.flatnonzero(lengths == 3)
     facets = rows[starts[triangles, None] + [0, 1, 2]]
-    by_edge = np.argsort(facets, axis=None, kind="stable")
-    first = np.searchsorted(facets.ravel()[by_edge], np.arange(len(lengths) + 1))
-    cofacets = (by_edge // 3).astype(np.int32)
-    del by_edge  # the temporaries go before the reduction, to keep peak memory low
-
-    # apparent pairs: the triangle is the oldest cofacet of its youngest edge
-    youngest = facets[:, 2]
-    apparent = np.flatnonzero(cofacets[first[youngest]] == np.arange(len(triangles)))
-    apparent_edge = dict(zip(apparent.tolist(), youngest[apparent].tolist()))
-    births += youngest[apparent].tolist()
-    deaths += triangles[apparent].tolist()
-    left = np.setdiff1d(cycles, youngest[apparent])
-    del facets, youngest, apparent
-
-    def coboundary(e: int) -> int:
-        bits = np.zeros(len(triangles), dtype=bool)
-        bits[cofacets[first[e] : first[e + 1]]] = True
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    # cohomology of the degree-1 births left, youngest edge first
-    pivots: dict[int, int] = {}  # oldest cofacet -> reduced coboundary owning it
-    for e in left[::-1].tolist():
-        col = coboundary(e)
-        while col:
-            low = (col & -col).bit_length() - 1
-            owner = pivots.get(low)
-            if owner is None and low in apparent_edge:
-                owner = pivots[low] = coboundary(apparent_edge[low])
-            if owner is None:
-                pivots[low] = col
-                births.append(e)
-                deaths.append(int(triangles[low]))
-                break
-            col ^= owner
-
-    by_death = np.argsort(deaths)
-    unpaired = np.ones(len(lengths), dtype=bool)
-    unpaired[births] = unpaired[deaths] = False
+    offsets, ranks = _cofacet_index(facets, n)
+    births, deaths, essential = _pairing(
+        n, edges, rows[starts[edges, None] + [0, 1]], triangles, facets[:, 2],
+        (offsets, ranks, np.arange(n)),
+    )
     ids = m.order.__getitem__  # the order's own ints, not fresh copies
     return Reduction(
-        pairs=tuple((ids(births[i]), ids(deaths[i])) for i in by_death.tolist()),
-        essential=tuple(itertools.compress(m.order, unpaired.tolist())),
+        pairs=tuple(zip(map(ids, births.tolist()), map(ids, deaths.tolist()))),
+        essential=tuple(map(ids, essential.tolist())),
     )
+
+
+def _diagram(
+    cx: WeightedComplex,
+    degree: int,
+    births: np.ndarray,
+    deaths: np.ndarray,
+    essential: np.ndarray,
+    essential_policy: EssentialPolicy,
+) -> PersistenceDiagram:
+    """The diagram of one degree from the pairs ``births[i], deaths[i]`` and
+    the ``essential`` simplexes, as complex ids; :func:`extract_diagram`
+    says how.  Only the pairs and classes of ``degree`` become objects."""
+    if degree not in (0, 1):
+        raise ValueError(f"degree must be 0 or 1, got {degree}")
+    if essential_policy not in ("infinite", "cap"):
+        raise ValueError(f"unknown essential policy {essential_policy!r}")
+    weights, dims = cx.weights, cx.dims
+    keep = (dims[births] == degree) & (weights[births] != weights[deaths])
+    births, deaths = births[keep], deaths[keep]
+    essential = essential[dims[essential] == degree]
+    death = math.inf if essential_policy == "infinite" else cx.max_weight
+    finite = map(
+        PersistencePair, repeat(degree), weights[births].tolist(), weights[deaths].tolist(),
+        births.tolist(), deaths.tolist(),
+    )
+    classes = map(
+        PersistencePair, repeat(degree), weights[essential].tolist(), repeat(death),
+        essential.tolist(),
+    )
+    return PersistenceDiagram(degree, (*finite, *classes))
 
 
 def extract_diagram(
@@ -301,24 +383,9 @@ def extract_diagram(
     policy (kept even when that equals the birth, so the class stays
     visible).
     """
-    if degree not in (0, 1):
-        raise ValueError(f"degree must be 0 or 1, got {degree}")
-    if essential_policy not in ("infinite", "cap"):
-        raise ValueError(f"unknown essential policy {essential_policy!r}")
-
-    weights, dims = cx.weights.tolist(), cx.dims.tolist()
-    out = [
-        PersistencePair(degree, weights[b], weights[d], b, d)
-        for b, d in reduction.pairs
-        if dims[b] == degree and weights[b] != weights[d]
-    ]
-    death = math.inf if essential_policy == "infinite" else cx.max_weight
-    out += [
-        PersistencePair(degree, weights[s], death, s, None)
-        for s in reduction.essential
-        if dims[s] == degree
-    ]
-    return PersistenceDiagram(degree, tuple(out))
+    pairs = np.array(reduction.pairs, dtype=np.intp).reshape(-1, 2)
+    essential = np.array(reduction.essential, dtype=np.intp)
+    return _diagram(cx, degree, pairs[:, 0], pairs[:, 1], essential, essential_policy)
 
 
 def persistence_diagrams(
@@ -326,10 +393,40 @@ def persistence_diagrams(
     degrees: Iterable[int] = (0, 1),
     essential_policy: EssentialPolicy = "infinite",
 ) -> dict[int, PersistenceDiagram]:
-    """Filtration order, boundary matrix, reduction, and diagram extraction."""
-    order = filtration_order(cx)
-    reduction = reduce_matrix(boundary_matrix(cx, order))
-    return {k: extract_diagram(reduction, cx, k, essential_policy) for k in degrees}
+    """Diagrams of ``cx`` in each of ``degrees``.
+
+    The result equals composing :func:`filtration_order`,
+    :func:`boundary_matrix`, :func:`reduce_matrix` and
+    :func:`extract_diagram`, pair for pair, but it runs on arrays from
+    filtration to diagram: the filtration order, the edges' vertices and
+    the triangles' youngest edges are read from the complex's tables as
+    filtration positions, the oldest cofacets and apparent pairs are array
+    operations, and births, deaths and essential classes stay arrays until
+    they are filtered by degree.  No boundary matrix is built; a complex
+    is closed, so none needs checking.  Coboundaries come from the
+    skeleton's cofacet index, which is built on first use and shared by
+    every complex over that skeleton.  Only union-find over the edges, the
+    cohomology columns and the pairs of the diagrams are Python objects.
+    """
+    order = _filtration_order(cx)
+    n = len(order)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    dims = cx.dims[order]
+    edges, triangles = np.flatnonzero(dims == 1), np.flatnonzero(dims == 2)
+    # facets, not vertex ids: an id is a row only in a canonical skeleton
+    ends = position[cx.facets[order[edges], :2]]
+    # column by column: a max along rows of three is many times slower
+    a, b, c = position[cx.facets[order[triangles]]].T
+    youngest = np.maximum(np.maximum(a, b), c)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order[triangles]] = np.arange(len(triangles))
+    offsets, cofacets = cx.simplexes._cofacets
+    births, deaths, essential = _pairing(
+        n, edges, ends, triangles, youngest, (offsets, rank[cofacets], order)
+    )
+    births, deaths, essential = order[births], order[deaths], order[essential]
+    return {k: _diagram(cx, k, births, deaths, essential, essential_policy) for k in degrees}
 
 
 def write_diagrams_csv(

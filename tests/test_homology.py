@@ -11,6 +11,7 @@ from gf2 import betti, boundary_from_columns, diagram_oracle, standard_reduction
 from reference_complexes import position
 from topodist.complexes import (
     Simplex,
+    Skeleton,
     WeightedComplex,
     assign_weights,
     complete_skeleton,
@@ -139,6 +140,33 @@ def test_boundary_rejects_non_permutation():
 
 
 @pytest.mark.parametrize(
+    "order, named",
+    [
+        ([0.0, 1.9, 2.5, 3, 4, 5, 6], "0.0"),
+        ([True, False, 2, 3, 4, 5, 6], "True"),
+        ([0, 1, 2, 3, 4, 5, np.float64(6.0)], repr(np.float64(6.0))),
+        ([np.True_, 0, 2, 3, 4, 5, 6], repr(np.True_)),
+    ],
+)
+def test_boundary_rejects_positions_that_are_not_integers(order, named):
+    # such ids used to be truncated: 1.9 read as 1 and True as 1
+    cx = WeightedComplex(complete_skeleton(3), np.array([0.0] * 3 + [1.0] * 4))
+    message = f"^order must hold integer simplex ids, got {re.escape(named)}$"
+    with pytest.raises(ValueError, match=message):
+        boundary_matrix(cx, order)
+
+
+def test_boundary_takes_numpy_integer_positions():
+    cx = filled_triangle()
+    order = filtration_order(cx)
+    expected = boundary_matrix(cx, order)
+    for ids in (np.array(order), np.array(order, dtype=np.int32), list(map(np.uint8, order))):
+        m = boundary_matrix(cx, ids)
+        assert m.columns == expected.columns
+        assert m.order == expected.order and all(type(i) is int for i in m.order)
+
+
+@pytest.mark.parametrize(
     "columns, message",
     [
         (((), (), (1, 0)), r"column 2 is not strictly increasing: \(1, 0\)"),
@@ -147,6 +175,9 @@ def test_boundary_rejects_non_permutation():
         # the first offending column is named, whichever check it breaks
         (((), (), (0, 3), (), (2, 1)), "column 2 references a row at or after"),
         (((), (), (1, 0), (5,)), "column 2 is not strictly increasing"),
+        # reduce_matrix used to meet it and call it no vertex, edge or triangle
+        (((), (), (-2, -1)), r"^column 2 references a negative row: \(-2, -1\)$"),
+        (((), (2,), (-1, 0)), "column 1 references a row at or after itself"),
     ],
 )
 def test_boundary_matrix_rejects_bad_columns(columns, message):
@@ -332,6 +363,37 @@ def test_reduce_matrix_equals_standard_reduction(cx):
     # exact, pair order included: diagrams and distances follow that order
     m = boundary_matrix(cx, filtration_order(cx))
     assert reduce_matrix(m) == standard_reduction(m)
+
+
+@st.composite
+def shuffled(draw, complexes: st.SearchStrategy) -> WeightedComplex:
+    """A complex of ``complexes`` over a skeleton of its rows in a drawn
+    order, so vertex ids are no longer row positions."""
+    cx = draw(complexes)
+    perm = np.array(draw(st.permutations(range(cx.n_simplexes))), dtype=np.intp)
+    return WeightedComplex(Skeleton(cx.vertices[perm]), cx.weights[perm])
+
+
+COMPLEXES = (tied_complete_complexes(), partial_complexes(), tied_grid_complexes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(*COMPLEXES, *map(shuffled, COMPLEXES)),
+    st.sampled_from(["infinite", "cap"]),
+)
+def test_persistence_diagrams_equal_the_public_composition(cx, policy):
+    # pair for pair: order, simplex ids, births and deaths
+    reduction = reduce_matrix(boundary_matrix(cx, filtration_order(cx)))
+    expected = {k: extract_diagram(reduction, cx, k, policy) for k in (0, 1)}
+    assert persistence_diagrams(cx, essential_policy=policy) == expected
+
+
+def test_persistence_diagrams_need_a_monotone_complex():
+    cx = make_complex({(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}, {(0, 1, 2): 2.5}, 3)
+    message = "^complex weights are not monotone; run enforce_monotone first$"
+    with pytest.raises(ValueError, match=message):
+        persistence_diagrams(cx)
 
 
 def test_reduction_needs_cohomology_column_additions():

@@ -11,6 +11,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from topodist.pipeline import (
 )
 from topodist.complexes import (
     Simplex,
+    Skeleton,
     assign_weights,
     complete_skeleton,
     grid_skeleton,
@@ -356,6 +358,28 @@ class TestSharedSkeleton:
         self.assert_shared_and_per_dataset(
             monkeypatch, tmp_path, datasets, PipelineConfig(), "complete_skeleton"
         )
+
+    def test_cofacet_index_is_built_once_per_skeleton_per_call(self, monkeypatch):
+        built, index = [], Skeleton._cofacets
+
+        def recorded(skeleton):
+            built.append(index.func(skeleton))
+            return built[-1]
+
+        spy = cached_property(recorded)
+        spy.__set_name__(Skeleton, "_cofacets")
+        monkeypatch.setattr(Skeleton, "_cofacets", spy)
+        datasets = [
+            generate_torus_dataset(dataclasses.replace(SPEC, n_samples=5, seed=seed))
+            for seed in (1, 2)
+        ]
+        run_pipeline(datasets, PipelineConfig())
+        assert len(built) == 1
+        run_pipeline(datasets, PipelineConfig())
+        assert len(built) == 2
+        # built afresh, not handed out again from a cache that outlives a call
+        first, second = built
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
 
     def test_grid_skeleton_is_built_once_per_grid(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(2)
