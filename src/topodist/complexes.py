@@ -85,6 +85,12 @@ class _MissingFacet(ValueError):
     """A simplex whose facet is not in the table being resolved."""
 
 
+def _row(vertices: np.ndarray, i: int) -> tuple[int, ...]:
+    """The vertex ids of row ``i`` of a vertex table, as its
+    :class:`Simplex` holds them, read without building the simplexes."""
+    return tuple(x for x in vertices[i].tolist() if x >= 0)
+
+
 class Skeleton(Sequence[Simplex]):
     """Vertices, edges and triangles as read-only tables, one row each:
     ``vertices`` (N x 3 ids padded with -1), ``dims`` (N) and ``facets``
@@ -140,7 +146,7 @@ class Skeleton(Sequence[Simplex]):
         missing = np.argwhere(has_facet & (codes[at] != faces))
         if missing.size:
             i, j = missing[0]
-            simplex = tuple(x for x in v[i].tolist() if x >= 0)
+            simplex = _row(v, i)
             face, kinds = simplex[:j] + simplex[j + 1 :], ("vertex", "edge", "triangle")
             raise _MissingFacet(
                 f"{kinds[len(simplex) - 1]} {simplex} lacks {kinds[len(face) - 1]} {face}"
@@ -174,8 +180,10 @@ class Skeleton(Sequence[Simplex]):
         """``(offsets, triangles)``: row ``r`` is a facet of the triangle
         rows ``triangles[offsets[r] : offsets[r + 1]]``, in skeleton order."""
         triangles = np.flatnonzero(self.dims == 2)
-        offsets, ranks = _cofacet_index(self.facets[triangles], len(self))
-        return offsets, triangles[ranks]
+        facets = self.facets[triangles]
+        by_row = np.argsort(facets, axis=None, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(facets.ravel(), minlength=len(self)))))
+        return offsets, triangles[by_row // 3]
 
     @cached_property
     def _row_prefixes(self) -> np.ndarray:
@@ -186,15 +194,6 @@ class Skeleton(Sequence[Simplex]):
         cells = names[np.searchsorted(ids, self.vertices)].T.tolist()
         rows = zip(map(str, self.dims.tolist()), *cells, repeat(""))
         return np.array(list(map(",".join, rows)), dtype=object)
-
-
-def _cofacet_index(facets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed rows of the triangles over each of ``n`` edge keys, where
-    triangle ``t`` has the keys ``facets[t]``: key ``k`` lies on the
-    triangles ``ranks[offsets[k] : offsets[k + 1]]``, ascending."""
-    by_key = np.argsort(facets, axis=None, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(facets.ravel(), minlength=n))))
-    return offsets, by_key // 3
 
 
 def _facet_table(simplexes: Sequence[Simplex]) -> Skeleton:
@@ -237,7 +236,7 @@ class WeightedComplex:
             raise ValueError("weights must be finite")
         weighted = np.flatnonzero((skeleton.dims == 0) & (weights != 0.0))
         if weighted.size:
-            raise ValueError(f"vertex {skeleton[weighted[0]].vertices} must have weight 0")
+            raise ValueError(f"vertex {_row(skeleton.vertices, weighted[0])} must have weight 0")
         for name in ("vertices", "dims", "facets"):
             object.__setattr__(self, name, getattr(skeleton, name))
         object.__setattr__(self, "simplexes", skeleton)
@@ -499,7 +498,7 @@ def _weights(
     vertices, dims, facets = skeleton.vertices, skeleton.dims, skeleton.facets
     beyond = np.flatnonzero(vertices.max(axis=1) >= n)
     if beyond.size:
-        v = skeleton[beyond[0]].vertices
+        v = _row(vertices, beyond[0])
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
     size = g.shape[1]
@@ -507,7 +506,7 @@ def _weights(
 
     def guard(ids: np.ndarray, zero: np.ndarray, kind: str, operator: str) -> None:
         if zero.any():
-            first = skeleton[ids[zero].min()].vertices
+            first = _row(vertices, ids[zero].min())
             raise ValueError(f"{kind} {first}: {operator} operator {_ZERO}")
 
     edges = np.flatnonzero(dims == 1)

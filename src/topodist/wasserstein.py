@@ -146,6 +146,15 @@ def wasserstein(
     unmatched points, and a bijection reads back as a partial matching of the
     same cost (a cell that took the gap sum sends both points to the
     diagonal), so the two optima are equal.
+
+    Stability holds for 1 <= p <= 2: for monotone weights ``f`` and ``g`` on
+    one complex, the distance between their diagrams of one degree is at
+    most ``(sum |f - g|^p)^(1/p)``, under ``drop`` or under ``cap`` at a
+    value at or above both maximum weights.  Skraba & Turner
+    (arXiv:2006.16824) prove it for the l_p ground cost, under which a
+    point lies ``2^(1/p - 1) (d - b)`` from the diagonal; for p <= 2 the
+    Euclidean distance and the ``(d - b) / sqrt(2)`` gap used here are at
+    most the l_p ones, and at p = 2 they are equal.
     """
     return _distance(_resolved_points(pd1, spec), _resolved_points(pd2, spec), spec.p)
 

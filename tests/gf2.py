@@ -1,7 +1,8 @@
 """GF(2) linear-algebra oracles for persistence tests.
 
 :func:`standard_reduction` is the textbook left-to-right column reduction,
-the reference that ``reduce_matrix`` must equal exactly.
+over boundary columns it builds from :meth:`Simplex.facets`: the reference
+that ``reduce_matrix`` and ``persistence_diagrams`` must equal exactly.
 
 Persistent Betti numbers are computed from matrix ranks alone (kernel of the
 degree-k boundary map intersected with the image of the degree-(k+1) map),
@@ -9,14 +10,13 @@ then converted to diagram multiplicities by inclusion-exclusion over critical
 values.  Shares no code with the reduction under test.
 """
 
-import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from topodist.complexes import WeightedComplex
-from topodist.homology import BoundaryMatrix, Reduction
+from topodist.homology import Reduction
 
 
 def gf2_rank(m: np.ndarray) -> int:
@@ -145,16 +145,17 @@ def diagram_oracle(cx: WeightedComplex, k: int) -> list[tuple[float, float]]:
     return sorted(points)
 
 
-def boundary_from_columns(columns: Sequence[Sequence[int]]) -> BoundaryMatrix:
-    """A :class:`BoundaryMatrix` from one row sequence per column, each
-    column its own simplex id in the filtration order."""
-    lengths = [len(column) for column in columns]
-    rows = list(itertools.chain.from_iterable(columns))
-    return BoundaryMatrix(lengths, rows, range(len(columns)))
+def boundary_columns(cx: WeightedComplex, order: Sequence[int]) -> list[tuple[int, ...]]:
+    """Per filtration position, the sorted positions of the simplex's facets,
+    from :meth:`Simplex.facets` and a dict of vertex tuples, not the tables."""
+    simplexes = [cx.simplexes[int(i)] for i in order]
+    position = {s.vertices: j for j, s in enumerate(simplexes)}
+    return [tuple(sorted(position[f.vertices] for f in s.facets())) for s in simplexes]
 
 
-def standard_reduction(m: BoundaryMatrix) -> Reduction:
-    """Left-to-right Z2 column reduction with lowest-one pairing.
+def standard_reduction(cx: WeightedComplex, order: Sequence[int]) -> Reduction:
+    """Left-to-right Z2 column reduction with lowest-one pairing of the
+    filtration ``order`` of ``cx``, over :func:`boundary_columns`.
 
     Each column becomes a Python-int bitset (bit r set for row r) only when
     the sweep reaches it, so its lowest row is ``bit_length() - 1`` and
@@ -164,10 +165,11 @@ def standard_reduction(m: BoundaryMatrix) -> Reduction:
     owner.  Columns that reduce to zero and are never a lowest row are
     essential births.
     """
+    order = [int(i) for i in order]
     pivots: dict[int, int] = {}  # lowest row -> reduced column owning it
     pairs_pos: list[tuple[int, int]] = []
     cleared: list[int] = []
-    for j, rows in enumerate(m.columns):
+    for j, rows in enumerate(boundary_columns(cx, order)):
         col = sum(1 << r for r in rows)
         while col:
             low = col.bit_length() - 1
@@ -180,7 +182,8 @@ def standard_reduction(m: BoundaryMatrix) -> Reduction:
         else:  # reduced to zero
             cleared.append(j)
 
+    pairs = [(order[b], order[d]) for b, d in pairs_pos]
+    essential = [order[j] for j in cleared if j not in pivots]
     return Reduction(
-        pairs=tuple((m.order[b], m.order[d]) for b, d in pairs_pos),
-        essential=tuple(m.order[j] for j in cleared if j not in pivots),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(essential, dtype=np.intp)
     )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gf2 import boundary_columns
 from reference_complexes import (
     complete_skeleton_reference,
     grid_skeleton_reference,
@@ -17,6 +18,7 @@ from reference_complexes import (
     weight_of,
     write_complex_csv_reference,
 )
+from test_homology import matrix_columns
 import topodist.complexes as complexes
 import topodist.diffusion as diffusion
 from topodist.alternating import edge_weight, pair_operator, triangle_weight, triple_operator
@@ -464,6 +466,31 @@ def test_weighted_complex_validation():
         WeightedComplex(vs, np.array([0.0, np.nan]))
 
 
+def test_messages_name_a_row_without_building_the_simplexes():
+    # naming one row used to build every Simplex of the skeleton
+    with pytest.raises(ValueError, match=r"^edge \(5, 9\) lacks vertex \(9,\)$"):
+        Skeleton([[5, -1, -1], [5, 9, -1]])
+    sparse = Skeleton([[5, -1, -1], [9, -1, -1]])
+    with pytest.raises(ValueError, match=r"^vertex \(9,\) must have weight 0$"):
+        WeightedComplex(sparse, np.array([0.0, 0.3]))
+    skeleton = complete_skeleton(4)
+    ops = [sample_diffusion_operator(Sample(np.random.default_rng(v).normal(size=(7, 2))))
+           for v in range(4)]
+    message = r"^simplex \(3,\) references vertex >= 3 \(one operator per vertex\)$"
+    with pytest.raises(ValueError, match=message):
+        raw_weights(skeleton, ops[:3])
+    zero = re.escape(diffusion._ZERO)
+    ops[1] = DiffusionOperator(np.full((7, 7), 1.0 / 7))
+    with pytest.raises(ValueError, match=rf"^edge \(0, 1\): pair operator {zero}$"):
+        raw_weights(skeleton, ops)
+    cycles = [DiffusionOperator(np.eye(3)[list(p)]) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    triangle = complete_skeleton(3)
+    with pytest.raises(ValueError, match=rf"^triangle \(0, 1, 2\): triple operator {zero}$"):
+        assign_weights(triangle, cycles)
+    for table in (sparse, skeleton, triangle):
+        assert "_simplexes" not in vars(table)
+
+
 def test_complex_csv_round_trip(tmp_path):
     data = generate_torus_dataset(
         TorusSpec(m=4, n_samples=4, n_observations=20, r_max=2.0, sigma=0.1, seed=61)
@@ -541,14 +568,10 @@ def test_filtration_order_matches_sorted_key(cx):
 @settings(max_examples=200, deadline=None)
 @given(closed_complexes())
 def test_boundary_columns_match_simplex_facets(cx):
+    # closed_complexes lists its rows shuffled: vertex ids are not row positions
     cx = enforce_monotone(cx)
     order = filtration_order(cx)
-    position = {cx.simplexes[sid].vertices: pos for pos, sid in enumerate(order)}
-    expected = tuple(
-        tuple(sorted(position[f.vertices] for f in cx.simplexes[sid].facets()))
-        for sid in order
-    )
-    assert boundary_matrix(cx, order).columns == expected
+    assert matrix_columns(boundary_matrix(cx, order)) == boundary_columns(cx, order)
 
 
 # ---------------------------------------------------------------------------
