@@ -26,6 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from topodist.dataset import _integer
 from topodist.diffusion import (
     _ZERO,
     DiffusionOperator,
@@ -98,11 +99,13 @@ class Skeleton(Sequence[Simplex]):
     :meth:`Simplex.facets`, -1 in unused slots).  Its elements are
     :class:`Simplex` objects, built on first access.
 
-    Construction validates the vertex table and resolves facets once.  Ids
-    are replaced by their ranks (the padding -1 ranks 0), so each row
-    encodes as one int64 in base (max rank + 1), for up to 2**21 - 1
-    distinct ids, and facets are found by binary search in the sorted codes.
-    A malformed row, a duplicate or a missing facet raises ``ValueError``.
+    Construction validates the vertex table and resolves facets once.  The
+    table holds integers (Python or NumPy, not bool or float, which would
+    be cast to ids) in N rows of 3, or is empty.  Ids are replaced by their
+    ranks (the padding -1 ranks 0), so each row encodes as one int64 in
+    base (max rank + 1), for up to 2**21 - 1 distinct ids, and facets are
+    found by binary search in the sorted codes.  Another table, a malformed
+    row, a duplicate or a missing facet raises ``ValueError``.
 
     What depends on the rows alone is computed once, on first use, and
     shared by every complex over the skeleton: the tie order
@@ -117,7 +120,14 @@ class Skeleton(Sequence[Simplex]):
     """
 
     def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
-        v = np.array(vertices, dtype=np.intp).reshape(-1, 3)
+        v = np.asarray(vertices)
+        if not v.size:
+            v = np.empty((0, 3), dtype=np.intp)  # an empty list has no dtype to check
+        elif v.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got a {v.dtype} table")
+        elif v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError(f"vertex table must be N x 3, got shape {v.shape}")
+        v = np.array(v, dtype=np.intp)
         bad = np.flatnonzero(
             (v[:, 0] < 0) | ((v[:, 1] < 0) & (v[:, 2] != -1))
             | ((v[:, 1:] <= v[:, :-1]) & (v[:, 1:] != -1)).any(axis=1)
@@ -214,7 +224,9 @@ class WeightedComplex:
     Vertices always weigh 0.  Monotonicity of the weights is not a
     construction requirement (raw alternating-diffusion weights may violate
     it); :func:`enforce_monotone` restores it and :func:`filtration_order`
-    demands it.
+    demands it.  :meth:`is_monotone` asks whether monotone repair, the
+    one rule :func:`enforce_monotone` applies, would move no weight, so
+    the rule and its check cannot disagree.
     """
 
     simplexes: Skeleton
@@ -255,12 +267,24 @@ class WeightedComplex:
         return int((self.dims == dimension).sum())
 
     def is_monotone(self) -> bool:
-        return bool((_facet_max(self, self.weights) <= self.weights).all())
+        """Whether monotone repair would move no weight."""
+        return np.array_equal(_monotone(self.simplexes, self.weights), self.weights)
 
 
-def _facet_max(cx: WeightedComplex, weights: np.ndarray) -> np.ndarray:
-    """Per simplex, the largest of ``weights`` over its facets (-inf for none)."""
-    return np.where(cx.facets >= 0, weights[cx.facets], -np.inf).max(axis=1)
+def _monotone(skeleton: Skeleton, weights: np.ndarray) -> np.ndarray:
+    """``weights`` with each edge, then each triangle, raised to the largest
+    weight of its facets, read one facet column of the table at a time.
+
+    A weight moves only when a facet weighs strictly more, and then takes
+    the bits of the first facet, in facet order, of the largest weight: a
+    tie keeps its own bits, where ``np.maximum`` picks between ``-0.0``
+    and ``0.0`` by platform."""
+    # edges read their two facet slots first, so triangles read repaired
+    # edges: one pass suffices
+    for dim, slot in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+        f = weights[skeleton.facets[:, slot]]
+        weights = np.where((skeleton.dims == dim) & (f > weights), f, weights)
+    return weights
 
 
 def _padded(table: np.ndarray) -> np.ndarray:
@@ -271,6 +295,7 @@ def _padded(table: np.ndarray) -> np.ndarray:
 def complete_skeleton(n_vertices: int) -> Skeleton:
     """All vertices, edges, and triangles over ``n_vertices`` ids, each kind
     in lexicographic order, as a table built by index arithmetic."""
+    n_vertices = _integer(n_vertices, "n_vertices")
     if n_vertices < 2:
         raise ValueError(f"need at least 2 vertices, got {n_vertices}")
     a, b = np.triu_indices(n_vertices, 1)
@@ -292,6 +317,7 @@ def grid_skeleton(rows: int, cols: int) -> Skeleton:
     bottom-right) and the two triangles (a, b, d) and (a, c, d).  Each kind
     is in lexicographic order, in a table built by index arithmetic.
     """
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError(f"degenerate grid {rows}x{cols}")
     ids = np.arange(rows * cols).reshape(rows, cols)
@@ -496,9 +522,8 @@ def _weights(
     n = len(g)
     skeleton = _facet_table(skeleton)
     vertices, dims, facets = skeleton.vertices, skeleton.dims, skeleton.facets
-    beyond = np.flatnonzero(vertices.max(axis=1) >= n)
-    if beyond.size:
-        v = _row(vertices, beyond[0])
+    if vertices.max(initial=-1) >= n:
+        v = _row(vertices, np.flatnonzero(vertices.max(axis=1) >= n)[0])
         raise ValueError(f"simplex {v} references vertex >= {n} (one operator per vertex)")
 
     size = g.shape[1]
@@ -527,9 +552,10 @@ def _weights(
     rank[edges] = np.arange(len(edges))
     corners, sides = vertices[triangles], rank[facets[triangles]]
     if certify and len(triangles):
-        # a triangle whose norm reaches 1 / (its largest edge weight) has a
-        # raw weight below that edge's, which monotone repair then gives it
-        top = weights[facets[triangles]].max(axis=1)
+        # repair lifts a triangle weighing 0 to top, its largest edge weight;
+        # one whose norm reaches 1 / top has a raw weight below top, so
+        # repair gives it top as well
+        top = _monotone(skeleton, weights)[triangles]
         keep = ~_certified(g, pairs, corners, sides, 1.0 / top)
         triangles, corners, sides = triangles[keep], corners[keep], sides[keep]
     # triangles whose three operand stacks fill one gathered chunk
@@ -565,12 +591,14 @@ def assign_weights(
     """Attach alternating-diffusion weights to a skeleton.
 
     Vertices weigh 0, edges and triangles get the centered inverse-Frobenius
-    weights of :func:`raw_weights`, and the result is passed through
-    :func:`enforce_monotone`.  The result equals
+    weights of :func:`raw_weights`, and monotone repair, the rule of
+    :func:`enforce_monotone`, is applied before the one complex is built.
+    The result equals
     ``enforce_monotone(WeightedComplex(skeleton, raw_weights(...)))`` bit
     for bit, but a triangle is weighed only when a cheap lower bound on its
     operator's norm (:func:`_certified`) cannot show that its raw weight
-    lies below its largest edge weight, the value repair gives it then.  A
+    lies below the value repair gives it while it weighs 0, its largest
+    edge weight: repair gives a certified triangle that value.  A
     zero-matrix triangle has bound 0 and so meets the same error as in
     :func:`raw_weights`.  Memory held is that of :func:`raw_weights`, and
     the bound holds ``(n + E) L k`` more values, for ``E`` edges and
@@ -579,21 +607,24 @@ def assign_weights(
     block of samples at a time, so it holds no stack of operators ``K``.
     """
     skeleton = _facet_table(skeleton)
-    g, norms = _centered_operators(operators)
-    return enforce_monotone(WeightedComplex(skeleton, _weights(skeleton, g, norms, certify=True)))
+    weights = _weights(skeleton, *_centered_operators(operators), certify=True)
+    return WeightedComplex(skeleton, _monotone(skeleton, weights))
 
 
 def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:
-    """Raise each simplex's weight to at least the max of its facets' weights.
+    """Monotone repair: raise each edge, then each triangle, to the largest
+    weight of its facets.
 
     Processing by increasing dimension makes one pass sufficient; applying
-    the function twice gives the same result as applying it once.
+    the function twice gives the same result as applying it once.  A
+    weight moves only when a facet weighs strictly more, and then takes
+    the bits of the first facet, in facet order, of the largest weight, so
+    a tie keeps its own bits (``-0.0`` over vertices of ``0.0`` stays
+    ``-0.0``).  This is the one
+    repair rule: :func:`assign_weights`, the cross-correlation baseline
+    and :meth:`WeightedComplex.is_monotone` apply it too.
     """
-    weights = np.array(cx.weights, copy=True)
-    for dim in (1, 2):
-        rows = cx.dims == dim
-        weights[rows] = np.maximum(weights[rows], _facet_max(cx, weights)[rows])
-    return WeightedComplex(cx.simplexes, weights)
+    return WeightedComplex(cx.simplexes, _monotone(cx.simplexes, cx.weights))
 
 
 def filtration_order(cx: WeightedComplex) -> list[int]:

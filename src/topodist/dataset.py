@@ -15,6 +15,8 @@ band).
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -37,6 +39,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, copy=True, order="C")
     out.setflags(write=False)
     return out
+
+
+def _is_integer(kind: type) -> bool:
+    """Whether values of type ``kind`` are integers: Python and NumPy
+    integers are, and a bool, a float or a NumPy bool is not."""
+    # the types operator.index takes, less bool: an int subclass, not a count
+    return not issubclass(kind, bool) and hasattr(kind, "__index__")
+
+
+def _integer(value: Any, name: str) -> int:
+    """``value`` as a Python int, or a ``ValueError`` that names it."""
+    if not _is_integer(type(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,8 @@ class TorusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("m", "n_samples", "n_observations", "tuple_size"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n_samples < 2:
@@ -151,10 +169,10 @@ class TorusSpec:
             raise ValueError(
                 f"tuple_size must be in [1, m={self.m}], got {self.tuple_size}"
             )
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 1 <= self.r_max < math.inf:
+            raise ValueError(f"r_max must be finite and >= 1, got {self.r_max}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def generate_torus_dataset(spec: TorusSpec) -> Dataset:
@@ -219,6 +237,7 @@ def patch_cube(cube: np.ndarray, patch_size: int) -> tuple[Dataset, GridShape]:
     cube = np.asarray(cube, dtype=np.float64)
     if cube.ndim != 3:
         raise ValueError(f"cube must have 3 axes (rows, cols, bands), got {cube.ndim}")
+    patch_size = _integer(patch_size, "patch_size")
     if patch_size < 1:
         raise ValueError(f"patch_size must be >= 1, got {patch_size}")
     rows, cols, bands = cube.shape

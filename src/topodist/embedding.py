@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from topodist.dataset import _integer
 from topodist.diffusion import _two_step, affinity, median_scale
 from topodist.wasserstein import DatasetDistanceMatrix
 
@@ -85,7 +86,7 @@ def diffusion_maps(
     n = distances.n
     if d is None:
         d = min(20, n - 1)
-    elif not 1 <= d < n:
+    elif not 1 <= _integer(d, "embedding dimension d") < n:
         raise ValueError(f"embedding dimension must satisfy 1 <= d < {n}, got {d}")
 
     if not distances.entries.any():

@@ -32,6 +32,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from topodist.complexes import WeightedComplex, _filtration_order
+from topodist.dataset import _is_integer
 
 __all__ = [
     "PersistencePair",
@@ -141,8 +142,7 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
     ``order`` holds Python or NumPy integers; a bool or a float is
     rejected, not truncated."""
     order = tuple(order)
-    # operator.index takes Python and NumPy integers; a bool is not an id
-    bad = {t for t in set(map(type, order)) if issubclass(t, bool) or not hasattr(t, "__index__")}
+    bad = {t for t in set(map(type, order)) if not _is_integer(t)}
     if bad:
         first = next(x for x in order if type(x) in bad)
         raise ValueError(f"order must hold integer simplex ids, got {first!r}")

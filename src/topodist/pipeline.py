@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,14 +24,15 @@ from topodist.complexes import (
     Simplex,
     Skeleton,
     WeightedComplex,
+    _facet_table,
+    _monotone,
     assign_weights,
     complete_skeleton,
-    enforce_monotone,
     grid_skeleton,
     raw_weights,
     write_complex_csv,
 )
-from topodist.dataset import Dataset, TorusSpec, generate_torus_dataset
+from topodist.dataset import Dataset, TorusSpec, _integer, generate_torus_dataset
 from topodist.diffusion import _affinity_stack, _centered_stack
 from topodist.homology import (
     PersistenceDiagram,
@@ -93,8 +93,7 @@ class PipelineConfig:
         # JSON config files can carry any type; a string "false" is truthy
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
         for name in ("kernel_epsilon_factor", "p", "cap_value"):
             value = getattr(self, name)
             if name == "cap_value" and value is None:
@@ -145,11 +144,7 @@ def _grid_shape(dataset: Dataset) -> tuple[int, int]:
         raise ValueError(
             "grid skeleton needs 'grid_rows' and 'grid_cols' in the dataset metadata"
         )
-    for key in ("grid_rows", "grid_cols"):
-        # operator.index takes Python and NumPy integers; a bool is not a count
-        if isinstance(meta[key], bool) or not hasattr(type(meta[key]), "__index__"):
-            raise ValueError(f"{key} must be an integer, got {meta[key]!r}")
-    rows, cols = operator.index(meta["grid_rows"]), operator.index(meta["grid_cols"])
+    rows, cols = (_integer(meta[key], key) for key in ("grid_rows", "grid_cols"))
     if rows * cols != len(dataset.samples):
         raise ValueError(f"grid {rows}x{cols} does not match {len(dataset.samples)} samples")
     return rows, cols
@@ -224,9 +219,9 @@ def cross_correlation_complex(
     """
     w, _ = _affinity_stack(dataset.samples, epsilon_factor)
     rho = np.corrcoef(w.reshape(len(w), -1)) if len(w) > 1 else np.ones((1, 1))
-    cx = WeightedComplex(skeleton, np.zeros(len(skeleton)))
+    skeleton = _facet_table(skeleton)
     # the edges (a, b), (b, c) and (a, c) of each simplex, where it has them
-    ends = cx.vertices[:, [[0, 1], [1, 2], [0, 2]]]
+    ends = skeleton.vertices[:, [[0, 1], [1, 2], [0, 2]]]
     has = (ends >= 0).all(axis=2)
     r = np.where(has, rho[ends[..., 0], ends[..., 1]], 0.0)
     bad = np.argwhere(has & (~np.isfinite(r) | (r == 0.0)))
@@ -234,10 +229,10 @@ def cross_correlation_complex(
         a, b = ends[tuple(bad[0])].tolist()
         raise ValueError(f"correlation between samples {a} and {b} is degenerate")
     weights = np.zeros(len(r))
-    edges, triangles = cx.dims == 1, cx.dims == 2
+    edges, triangles = skeleton.dims == 1, skeleton.dims == 2
     weights[edges] = 1.0 / np.abs(r[edges, 0])
     weights[triangles] = 1.0 / np.sqrt((r[triangles] ** 2).sum(axis=1))
-    return enforce_monotone(WeightedComplex(cx.simplexes, weights))
+    return WeightedComplex(skeleton, _monotone(skeleton, weights))
 
 
 def _labeled(
@@ -375,7 +370,7 @@ def weight_profile(
     Returns rows ``(simplex, common_count, mean, std, count)`` sorted by
     kind then count; buckets that never occur are omitted.
     """
-    if n_seeds < 1:
+    if _integer(n_seeds, "n_seeds") < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     complete = PipelineConfig(skeleton="complete")
     built: dict[tuple, Skeleton] = {}
@@ -428,10 +423,10 @@ def dimension_sweep(
     matrix plus a label-to-M map so callers can split within/between
     groups.
     """
-    m_values = [int(m) for m in m_values]
+    m_values = [_integer(m, "m") for m in m_values]
     if len(set(m_values)) < 2:
         raise ValueError(f"need at least 2 distinct m values, got {m_values}")
-    if per_m < 1:
+    if _integer(per_m, "per_m") < 1:
         raise ValueError(f"per_m must be >= 1, got {per_m}")
 
     datasets: list[Dataset] = []

@@ -29,6 +29,7 @@ from typing import Literal, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from topodist.dataset import _integer
 from topodist.homology import PersistenceDiagram
 
 __all__ = [
@@ -59,6 +60,7 @@ class DiagramDistanceSpec:
     def __post_init__(self) -> None:
         if not 1.0 <= self.p < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
         if self.infinite_policy not in ("drop", "cap"):

@@ -557,6 +557,48 @@ def test_enforce_monotone_matches_oracle_on_random_complexes(cx):
     np.testing.assert_array_equal(enforce_monotone(cx).weights, enforce_oracle(cx))
 
 
+REPAIR_LEVELS = (-0.0, 0.0, -0.25, 0.25, 0.5)
+
+
+@st.composite
+def signed_zero_repair_complexes(draw) -> WeightedComplex:
+    """A drawn closed complex, listed by dimension, whose vertices weigh
+    ``0.0`` or ``-0.0`` and whose edges and triangles draw from a few
+    levels: zeros of both signs, ties, and negative edges that repair
+    raises to a vertex's zero, so triangles must read repaired edges.
+
+    Within each dimension the order stays drawn.  By dimension, the
+    oracle's first pass repairs every edge before any triangle, so its
+    fixed point does not depend on the list order even where equal zeros
+    of opposite sign meet."""
+    cx = draw(closed_complexes())
+    simplexes = sorted(cx.simplexes, key=lambda s: s.dimension)
+    return WeightedComplex(tuple(simplexes), np.array([
+        draw(st.sampled_from(REPAIR_LEVELS[:2] if s.dimension == 0 else REPAIR_LEVELS))
+        for s in simplexes
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_zero_repair_complexes())
+def test_enforce_monotone_keeps_the_oracle_bits(cx):
+    # a tie keeps its own bits and a raise copies the first strictly larger
+    # facet, so the signs of equal zeros match the oracle's too
+    repaired = enforce_monotone(cx)
+    assert repaired.weights.view(np.int64).tolist() == enforce_oracle(cx).view(np.int64).tolist()
+    assert repaired.is_monotone()
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_zero_repair_complexes() | closed_complexes())
+def test_is_monotone_is_the_largest_facet_weight_rule(cx):
+    largest = [
+        max((cx.weights[position(cx, f.vertices)] for f in s.facets()), default=-np.inf)
+        for s in cx.simplexes
+    ]
+    assert cx.is_monotone() == bool((np.array(largest) <= cx.weights).all())
+
+
 @settings(max_examples=200, deadline=None)
 @given(closed_complexes())
 def test_filtration_order_matches_sorted_key(cx):
@@ -1060,6 +1102,53 @@ def test_skeleton_is_a_sequence_of_simplexes():
 def test_skeleton_rejects_malformed_rows(row):
     with pytest.raises(ValueError, match=rf"^simplex row \[{row[0]}, .* padded with -1$"):
         Skeleton([[0, -1, -1], row])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # truncating these would give the rows 0, 1 and (0, 1)
+        ([[0.7, -1, -1], [1.2, -1, -1], [0.9, 1.9, -1]],
+         "vertex ids must be integers, got a float64 table"),
+        (np.array([[True, False, False]]), "vertex ids must be integers, got a bool table"),
+        ([0, -1, -1, 1, -1, -1, 0, 1, -1], r"vertex table must be N x 3, got shape \(9,\)"),
+        ([[[0, -1, -1], [1, -1, -1]]], r"vertex table must be N x 3, got shape \(1, 2, 3\)"),
+        ([[0, -1], [1, -1]], r"vertex table must be N x 3, got shape \(2, 2\)"),
+    ],
+)
+def test_skeleton_takes_only_an_integer_n_by_3_table(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Skeleton(table)
+
+
+def test_skeleton_takes_python_and_numpy_integers_and_the_empty_table():
+    rows = [[0, -1, -1], [1, -1, -1], [0, 1, -1]]
+    for table in (rows, np.array(rows, dtype=np.int32), [list(map(np.int64, r)) for r in rows]):
+        assert Skeleton(table).vertices.tolist() == rows
+    for empty in ([], np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)):
+        assert Skeleton(empty).vertices.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "build, args, name, value",
+    [
+        (complete_skeleton, (3.0,), "n_vertices", 3.0),
+        (complete_skeleton, (True,), "n_vertices", True),
+        (grid_skeleton, (2.0, 3), "rows", 2.0),
+        (grid_skeleton, (2, np.float64(3)), "cols", np.float64(3)),
+        (grid_skeleton, (2, True), "cols", True),
+    ],
+)
+def test_skeleton_builders_take_only_integer_counts(build, args, name, value):
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
+def test_skeleton_builders_take_numpy_integer_counts():
+    assert np.array_equal(complete_skeleton(np.int64(4)).vertices, complete_skeleton(4).vertices)
+    grid = grid_skeleton(np.int32(2), np.int64(3))
+    assert np.array_equal(grid.vertices, grid_skeleton(2, 3).vertices)
 
 
 WIDE = st.floats(min_value=5e-324, max_value=1e300)

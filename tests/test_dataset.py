@@ -1,6 +1,8 @@
 """Tests for the data containers, the torus generator, and the cube ingester."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,31 @@ def test_torus_spec_validation():
         TorusSpec(m=3, n_samples=4, n_observations=10, sigma=-0.1)
     with pytest.raises(ValueError, match="m must be"):
         TorusSpec(m=0, n_samples=4, n_observations=10, tuple_size=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 3.0), ("n_samples", 4.5), ("n_observations", True), ("tuple_size", np.float64(2))],
+)
+def test_torus_spec_counts_must_be_integers(field, value):
+    counts = {"m": 3, "n_samples": 4, "n_observations": 10, "tuple_size": 2, field: value}
+    message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        TorusSpec(**counts)
+
+
+def test_torus_spec_takes_numpy_integer_counts_as_ints():
+    spec = TorusSpec(m=np.int64(3), n_samples=np.int32(4), n_observations=np.int64(10))
+    assert spec == TorusSpec(m=3, n_samples=4, n_observations=10)
+    assert all(type(x) is int for x in (spec.m, spec.n_samples, spec.n_observations))
+    json.dumps(generate_torus_dataset(spec).metadata)
+
+
+@pytest.mark.parametrize("field", ["r_max", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_torus_spec_reals_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TorusSpec(m=3, n_samples=4, n_observations=10, **{field: value})
 
 
 def test_torus_deterministic():
@@ -235,6 +262,20 @@ def test_patch_cube_errors():
         patch_cube(np.zeros((10, 10, 1)), 5)
     with pytest.raises(ValueError, match="3 axes"):
         patch_cube(np.zeros((10, 10)), 5)
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, np.float64(2)])
+def test_patch_size_must_be_an_integer(size):
+    message = f"^patch_size must be an integer, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        patch_cube(np.zeros((4, 4, 3)), size)
+
+
+def test_patch_size_takes_a_numpy_integer_as_an_int():
+    cube = np.random.default_rng(0).normal(size=(4, 6, 3))
+    dataset, grid = patch_cube(cube, np.int64(2))
+    assert grid == (2, 3) and type(dataset.metadata["patch_size"]) is int
+    json.dumps(dataset.metadata)
 
 
 # ---------------------------------------------------------------------------

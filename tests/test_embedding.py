@@ -120,6 +120,14 @@ def test_dimension_bounds_enforced():
         diffusion_maps(dm, d=6)
 
 
+@pytest.mark.parametrize("d", [True, 1.5, 2.0])
+def test_dimension_must_be_an_integer(d):
+    dm = random_distance_matrix(np.random.default_rng(313), 6)
+    with pytest.raises(ValueError, match=rf"^embedding dimension d must be an integer, got {d!r}$"):
+        diffusion_maps(dm, d=d)
+    assert diffusion_maps(dm, d=np.int64(2)).dimension == 2
+
+
 @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
 def test_epsilon_factor_must_be_positive_and_finite(factor):
     dm = random_distance_matrix(np.random.default_rng(313), 6)

@@ -106,6 +106,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
+    def test_numpy_integer_degree_is_taken_as_an_int(self, tmp_path):
+        config = PipelineConfig(degree=np.int64(0))
+        assert config == PipelineConfig(degree=0) and type(config.degree) is int
+        config.to_json(tmp_path / "config.json")
+        assert PipelineConfig.from_json(tmp_path / "config.json") == config
+
     def test_cap_with_value_accepted(self):
         config = PipelineConfig(infinite_policy="cap", cap_value=2.0)
         assert config.metric_spec().cap_value == 2.0
@@ -505,6 +511,12 @@ class TestWeightProfile:
         with pytest.raises(ValueError, match="n_seeds"):
             weight_profile(SPEC, 0)
 
+    @pytest.mark.parametrize("n_seeds", [True, 1.5, np.float64(1)])
+    def test_seed_count_must_be_an_integer(self, n_seeds):
+        message = f"^n_seeds must be an integer, got {re.escape(repr(n_seeds))}$"
+        with pytest.raises(ValueError, match=message):
+            weight_profile(SPEC, n_seeds)
+
 
 class TestDimensionSweep:
     def test_labels_and_groups(self, tmp_path):
@@ -522,6 +534,18 @@ class TestDimensionSweep:
     def test_per_m_validated(self):
         with pytest.raises(ValueError, match="per_m"):
             dimension_sweep([3, 6], 0, SPEC)
+
+    @pytest.mark.parametrize("m", [3.5, 3.0, True])
+    def test_m_values_must_be_integers(self, m):
+        # no float is a circle count, not even 3.0: none is truncated
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            dimension_sweep([m, 6], 1, SPEC)
+
+    @pytest.mark.parametrize("per_m", [True, 1.5, np.float64(1)])
+    def test_per_m_must_be_an_integer(self, per_m):
+        message = f"^per_m must be an integer, got {re.escape(repr(per_m))}$"
+        with pytest.raises(ValueError, match=message):
+            dimension_sweep([3, 6], per_m, SPEC)
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -302,6 +303,14 @@ def test_spec_validation():
             DiagramDistanceSpec(infinite_policy="cap", cap_value=cap)
 
 
+@pytest.mark.parametrize("degree", [True, 1.0, np.float64(0)])
+def test_spec_degree_must_be_an_integer(degree):
+    message = f"^degree must be an integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(ValueError, match=message):
+        DiagramDistanceSpec(degree=degree)
+    assert type(DiagramDistanceSpec(degree=np.int64(0)).degree) is int
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError, match="degree"):
         wasserstein(diagram([(0.0, 1.0)], degree=0), diagram([]), SPEC2)
@@ -440,3 +449,29 @@ def test_wasserstein_is_stable_under_weight_perturbation(fg, p, above):
         ):
             # a few ulp for the rounding of the two sums
             assert wasserstein(dgm_f[k], dgm_g[k], spec) <= norm * (1.0 + 8 * np.finfo(float).eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(perturbed_complexes(), min_size=3, max_size=3),
+    st.floats(1.0, 2.0),
+    st.sampled_from([0.0, 0.5]),
+)
+def test_distance_matrix_moves_by_at_most_the_weight_changes_of_its_two_complexes(fgs, p, above):
+    # the corollary for a whole matrix: by the triangle inequality
+    # |W(f_i, f_j) - W(g_i, g_j)| <= W(f_i, g_i) + W(f_j, g_j), and the
+    # bound above holds for each term, under one cap at or above every weight
+    norms = [float(np.sum(np.abs(f.weights - g.weights) ** p) ** (1.0 / p)) for f, g in fgs]
+    cap = max(cx.max_weight for fg in fgs for cx in fg) + above
+    runs = [[persistence_diagrams(cx) for cx in run] for run in zip(*fgs)]
+    for k in (0, 1):
+        for spec in (
+            DiagramDistanceSpec(p=p, degree=k),
+            DiagramDistanceSpec(p=p, degree=k, infinite_policy="cap", cap_value=cap),
+        ):
+            d_f, d_g = (distance_matrix([dgm[k] for dgm in run], spec).entries for run in runs)
+            for i, j in combinations(range(3), 2):
+                bound = norms[i] + norms[j]
+                # a few ulp for the rounding of the distances and the norms
+                slack = 8 * np.finfo(float).eps * (bound + d_f[i, j] + d_g[i, j])
+                assert abs(d_f[i, j] - d_g[i, j]) <= bound + slack
