@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence, get_args
 
 import numpy as np
 
@@ -28,11 +28,14 @@ from topodist.dataset import (
 )
 from topodist.embedding import diffusion_maps, export_embedding
 from topodist.homology import (
+    EssentialPolicy,
     persistence_diagrams,
     read_diagrams_csv,
     write_diagrams_csv,
 )
 from topodist.pipeline import (
+    _SCHEMES,
+    _SKELETONS,
     PipelineConfig,
     PipelineError,
     build_weighted_complex,
@@ -44,6 +47,7 @@ from topodist.pipeline import (
 )
 from topodist.wasserstein import (
     DiagramDistanceSpec,
+    InfinitePolicy,
     distance_matrix,
     read_distance_csv,
     write_distance_csv,
@@ -59,55 +63,50 @@ def _add_torus_args(p: argparse.ArgumentParser, with_m: bool = True) -> None:
     p.add_argument(
         "--n-observations", type=int, required=True, help="observations per sample"
     )
-    p.add_argument("--tuple-size", type=int, default=3, help="circles per sample")
-    p.add_argument("--r-max", type=float, default=1.0, help="upper radius bound")
-    p.add_argument("--sigma", type=float, default=0.0, help="noise standard deviation")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--tuple-size", type=int, help="circles per sample")
+    p.add_argument("--r-max", type=float, help="upper radius bound")
+    p.add_argument("--sigma", type=float, help="noise standard deviation")
+    p.add_argument("--seed", type=int, help="generator seed")
 
 
-def _torus_spec(args: argparse.Namespace, m: int | None = None) -> TorusSpec:
-    return TorusSpec(
-        m=args.m if m is None else m,
-        n_samples=args.n_samples,
-        n_observations=args.n_observations,
-        tuple_size=args.tuple_size,
-        r_max=args.r_max,
-        sigma=args.sigma,
-        seed=args.seed,
-    )
+def _given(cls: type, args: argparse.Namespace) -> dict[str, Any]:
+    """The flags of ``args`` that were given, keyed by the field of the
+    dataclass ``cls`` each one sets; a flag left out keeps the field's default."""
+    fields = (f.name for f in dataclasses.fields(cls))
+    return {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
+
+
+def _add_metric_args(p: argparse.ArgumentParser) -> None:
+    """The :class:`DiagramDistanceSpec` fields, each defaulting to the spec's own."""
+    p.add_argument("--degree", type=int, choices=[0, 1])
+    p.add_argument("--p", type=float, help="Wasserstein order")
+    p.add_argument("--infinite-policy", choices=get_args(InfinitePolicy))
+    p.add_argument("--cap-value", type=float)
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     """Pipeline config: a JSON file plus flag overrides (flags win)."""
     p.add_argument("--config", help="JSON file with pipeline settings")
-    p.add_argument("--epsilon-factor", type=float, default=None, dest="kernel_epsilon_factor")
-    p.add_argument("--skeleton", choices=["complete", "grid"], default=None)
-    p.add_argument("--degree", type=int, choices=[0, 1], default=None)
-    p.add_argument("--p", type=float, default=None, help="Wasserstein order")
-    p.add_argument("--infinite-policy", choices=["drop", "cap"], default=None)
-    p.add_argument("--cap-value", type=float, default=None)
+    p.add_argument("--epsilon-factor", type=float, dest="kernel_epsilon_factor")
+    p.add_argument("--skeleton", choices=_SKELETONS)
+    _add_metric_args(p)
     p.add_argument(
         "--normalize", action=argparse.BooleanOptionalAction, default=None,
         help="divide weights by the median of the monotone weights before filtering",
     )
     p.add_argument(
-        "--weights", choices=["alternating", "cross-correlation"], default=None,
-        dest="weight_scheme", help="weighting scheme (cross-correlation is a baseline)",
+        "--weights", choices=_SCHEMES, dest="weight_scheme",
+        help="weighting scheme (cross-correlation is a baseline)",
     )
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in (f.name for f in dataclasses.fields(PipelineConfig))
-        if getattr(args, name, None) is not None
-    }
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return dataclasses.replace(config, **_given(PipelineConfig, args))
 
 
 def _cmd_generate_sim(args: argparse.Namespace) -> int:
-    dataset = generate_torus_dataset(_torus_spec(args))
+    dataset = generate_torus_dataset(TorusSpec(**_given(TorusSpec, args)))
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.samples)} samples to {args.out}")
     return 0
@@ -143,15 +142,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     labels = [Path(p).stem for p in args.diagrams]
     if len(set(labels)) != len(labels):
         raise ValueError(f"diagram file stems must be unique, got {labels}")
+    spec = DiagramDistanceSpec(**_given(DiagramDistanceSpec, args))
     diagrams = [
-        read_diagrams_csv(p, degrees=(args.degree,))[args.degree] for p in args.diagrams
+        read_diagrams_csv(p, degrees=(spec.degree,))[spec.degree] for p in args.diagrams
     ]
-    spec = DiagramDistanceSpec(
-        p=args.p,
-        degree=args.degree,
-        infinite_policy=args.infinite_policy,
-        cap_value=args.cap_value,
-    )
     matrix = distance_matrix(diagrams, spec, labels=labels)
     write_distance_csv(matrix, args.out)
     print(f"wrote {matrix.n}x{matrix.n} distance matrix to {args.out}")
@@ -185,14 +179,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_weight_profile(args: argparse.Namespace) -> int:
-    rows = weight_profile(_torus_spec(args), args.seeds)
+    rows = weight_profile(TorusSpec(**_given(TorusSpec, args)), args.seeds)
     write_weight_profile_csv(rows, args.out)
     print(f"wrote {len(rows)} weight groups to {args.out}")
     return 0
 
 
 def _cmd_dimension_sweep(args: argparse.Namespace) -> int:
-    template = _torus_spec(args, m=max(args.m_values))
+    template = TorusSpec(m=max(args.m_values), **_given(TorusSpec, args))
     matrix, m_of = dimension_sweep(args.m_values, args.per_m, template, out_dir=args.out)
     print(f"wrote {matrix.n}x{matrix.n} distance matrix under {args.out}")
     return 0
@@ -225,16 +219,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ph", help="persistence diagrams of a weighted complex")
     p.add_argument("--complex", required=True, help="complex CSV path")
     p.add_argument("--out", required=True, help="diagrams CSV path")
-    p.add_argument("--essential-policy", choices=["infinite", "cap"], default="infinite")
+    p.add_argument(
+        "--essential-policy", choices=get_args(EssentialPolicy), default="infinite"
+    )
     p.set_defaults(handler=_cmd_ph)
 
     p = sub.add_parser("distance", help="Wasserstein distance matrix of diagram files")
     p.add_argument("diagrams", nargs="+", help="diagram CSV paths (stems become labels)")
     p.add_argument("--out", required=True, help="distance CSV path")
-    p.add_argument("--degree", type=int, choices=[0, 1], default=1)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--infinite-policy", choices=["drop", "cap"], default="drop")
-    p.add_argument("--cap-value", type=float, default=None)
+    _add_metric_args(p)
     p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("embed", help="diffusion-maps embedding of a distance matrix")

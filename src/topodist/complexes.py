@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from topodist.dataset import _integer
+from topodist.dataset import _integer, _readonly
 from topodist.diffusion import (
     _ZERO,
     DiffusionOperator,
@@ -240,8 +240,7 @@ class WeightedComplex:
             skeleton = _facet_table(self.simplexes)
         except _MissingFacet as exc:
             raise ValueError(f"complex not closed: {exc}") from None
-        weights = np.array(self.weights, dtype=np.float64, copy=True)
-        weights.setflags(write=False)
+        weights = _readonly(self.weights)
         if weights.ndim != 1 or len(weights) != len(skeleton):
             raise ValueError(f"{len(skeleton)} simplexes but {weights.shape} weights")
         if not np.isfinite(weights).all():

@@ -55,6 +55,15 @@ def _integer(value: Any, name: str) -> int:
     return operator.index(value)
 
 
+def _real(value: Any, name: str) -> float:
+    """``value`` unchanged if it is a Python int or float, a NumPy float64
+    included, or a ``ValueError`` that names it: a bool, a string or a
+    NumPy integer is not taken, so a stored number stays JSON-serializable."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Sample:
     """One sample: ``L`` observations of dimension ``d_obs`` plus a label.
@@ -144,8 +153,8 @@ class TorusSpec:
         Standard deviation of the additive Gaussian observation noise,
         drawn independently per observation and coordinate.
     seed:
-        Seed for the generator; output is a deterministic function of the
-        full spec.
+        Nonnegative integer seed for the generator; output is a
+        deterministic function of the full spec.
     """
 
     m: int
@@ -157,7 +166,7 @@ class TorusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("m", "n_samples", "n_observations", "tuple_size"):
+        for name in ("m", "n_samples", "n_observations", "tuple_size", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -169,10 +178,12 @@ class TorusSpec:
             raise ValueError(
                 f"tuple_size must be in [1, m={self.m}], got {self.tuple_size}"
             )
-        if not 1 <= self.r_max < math.inf:
+        if not 1 <= _real(self.r_max, "r_max") < math.inf:
             raise ValueError(f"r_max must be finite and >= 1, got {self.r_max}")
-        if not 0 <= self.sigma < math.inf:
+        if not 0 <= _real(self.sigma, "sigma") < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_torus_dataset(spec: TorusSpec) -> Dataset:

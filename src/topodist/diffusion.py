@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from topodist.dataset import Sample, _readonly
+from topodist.dataset import Sample, _readonly, _real
 
 __all__ = [
     "AffinityMatrix",
@@ -51,6 +51,13 @@ def _per_chunk(nbytes: int) -> int:
 def _norms(stack: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of ``stack``."""
     return np.array([math.sqrt(np.vdot(x, x)) for x in stack])
+
+
+def _scale_factor(value: float, name: str = "factor") -> None:
+    """Raise unless ``value`` is a number with ``0 < value < inf``: the rule
+    for every kernel-scale factor of the median heuristic."""
+    if not 0.0 < _real(value, name) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _is_noise(norms: np.ndarray, scale: np.ndarray, size: int) -> np.ndarray:
@@ -144,8 +151,7 @@ def median_scale(distances: np.ndarray, factor: float = 1.0) -> float:
     not enter it, so duplicates cannot pull the scale to zero; only a sample
     whose observations all coincide is rejected.
     """
-    if not 0.0 < factor < np.inf:
-        raise ValueError(f"factor must be positive and finite, got {factor}")
+    _scale_factor(factor)
     d = np.asarray(distances, dtype=np.float64)
     squared = d[np.triu_indices(d.shape[0], k=1)] ** 2
     positive = squared[squared > 0.0]
@@ -209,8 +215,7 @@ def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> Dif
 def _observation_count(samples: Sequence[Sample], median_factor: float) -> int:
     """The observation count ``L`` that ``samples`` share, 0 for no samples,
     once the kernel scale factor and the count are checked."""
-    if not 0.0 < median_factor < np.inf:
-        raise ValueError(f"factor must be positive and finite, got {median_factor}")
+    _scale_factor(median_factor)
     sizes = sorted({s.n_observations for s in samples})
     if len(sizes) > 1:
         raise ValueError(f"samples disagree on observation count: {sizes}")

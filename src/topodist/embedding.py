@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from topodist.dataset import _integer
+from topodist.dataset import _integer, _readonly
 from topodist.diffusion import _two_step, affinity, median_scale
 from topodist.wasserstein import DatasetDistanceMatrix
 
@@ -36,10 +36,8 @@ class Embedding:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coordinates, dtype=np.float64, copy=True)
-        coords.setflags(write=False)
-        lam = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-        lam.setflags(write=False)
+        coords = _readonly(self.coordinates)
+        lam = _readonly(self.eigenvalues)
         labels = tuple(str(x) for x in self.labels)
         if coords.ndim != 2:
             raise ValueError(f"coordinates must be 2-d, got shape {coords.shape}")

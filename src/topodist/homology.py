@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -274,7 +274,7 @@ def extract_diagram(
     visible).  Births, deaths and essential classes are filtered by degree
     as arrays; only the pairs of the diagram become objects.
     """
-    if essential_policy not in ("infinite", "cap"):
+    if essential_policy not in get_args(EssentialPolicy):
         raise ValueError(f"unknown essential policy {essential_policy!r}")
     weights, dims = cx.weights, cx.dims
     births, deaths = reduction.pairs.T

@@ -33,7 +33,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.dataset import Dataset, TorusSpec, _integer, generate_torus_dataset
-from topodist.diffusion import _affinity_stack, _centered_stack
+from topodist.diffusion import _affinity_stack, _centered_stack, _scale_factor
 from topodist.homology import (
     PersistenceDiagram,
     persistence_diagrams,
@@ -71,7 +71,8 @@ class PipelineConfig:
     """Every knob of the end-to-end run, JSON round-trippable.
 
     ``degree``/``p``/``infinite_policy``/``cap_value`` configure the
-    diagram metric and are validated by :meth:`metric_spec`, and
+    diagram metric and are validated by the :class:`DiagramDistanceSpec`
+    that :meth:`metric_spec` builds, and
     ``skeleton`` selects the complex built over each dataset's samples.
     With ``normalize`` the pipeline divides each complex's weights, of
     either ``weight_scheme``, by the median of its monotone
@@ -93,21 +94,11 @@ class PipelineConfig:
         # JSON config files can carry any type; a string "false" is truthy
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
-        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
-        for name in ("kernel_epsilon_factor", "p", "cap_value"):
-            value = getattr(self, name)
-            if name == "cap_value" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.kernel_epsilon_factor < np.inf:
-            raise ValueError(
-                "kernel_epsilon_factor must be positive and finite, "
-                f"got {self.kernel_epsilon_factor}"
-            )
+        _scale_factor(self.kernel_epsilon_factor, "kernel_epsilon_factor")
         if self.skeleton not in _SKELETONS:
             raise ValueError(f"skeleton must be one of {_SKELETONS}, got {self.skeleton!r}")
-        self.metric_spec()
+        # the spec checks the four metric fields and takes a NumPy integer degree as an int
+        object.__setattr__(self, "degree", self.metric_spec().degree)
         if self.weight_scheme not in _SCHEMES:
             raise ValueError(
                 f"weight_scheme must be one of {_SCHEMES}, got {self.weight_scheme!r}"
@@ -372,15 +363,13 @@ def weight_profile(
     """
     if _integer(n_seeds, "n_seeds") < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    complete = PipelineConfig(skeleton="complete")
-    built: dict[tuple, Skeleton] = {}
+    skeleton = complete_skeleton(spec.n_samples)
     buckets: dict[tuple[int, int], list[np.ndarray]] = {}
     for offset in range(n_seeds):
         ds = generate_torus_dataset(dataclasses.replace(spec, seed=spec.seed + offset))
         member = np.zeros((len(ds.samples), spec.m), dtype=bool)
         for i, circles in enumerate(ds.metadata["index_tuples"]):
             member[i, circles] = True
-        skeleton = _skeleton(ds, complete, built)
         raw = raw_weights(skeleton, _centered_stack(ds.samples))
         for dim in (1, 2):
             of_dim = skeleton.dims == dim

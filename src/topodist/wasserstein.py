@@ -24,12 +24,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topodist.dataset import _integer
+from topodist.dataset import _integer, _readonly, _real
 from topodist.homology import PersistenceDiagram
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "write_distance_csv",
     "read_distance_csv",
 ]
+
+InfinitePolicy = Literal["drop", "cap"]
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,19 @@ class DiagramDistanceSpec:
 
     p: float = 2.0
     degree: int = 1
-    infinite_policy: Literal["drop", "cap"] = "drop"
+    infinite_policy: InfinitePolicy = "drop"
     cap_value: float | None = None
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.p < math.inf:
+        if not 1.0 <= _real(self.p, "p") < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
         object.__setattr__(self, "degree", _integer(self.degree, "degree"))
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        if self.infinite_policy not in ("drop", "cap"):
+        if self.infinite_policy not in get_args(InfinitePolicy):
             raise ValueError(f"unknown infinite policy {self.infinite_policy!r}")
+        if self.cap_value is not None:
+            _real(self.cap_value, "cap_value")
         if self.infinite_policy == "cap":
             if self.cap_value is None or not math.isfinite(self.cap_value):
                 raise ValueError("cap policy requires a finite cap_value")
@@ -78,8 +82,7 @@ class DatasetDistanceMatrix:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=np.float64, copy=True)
-        m.setflags(write=False)
+        m = _readonly(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"distance matrix must be square, got {m.shape}")
         labels = tuple(str(x) for x in self.labels)

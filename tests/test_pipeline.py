@@ -8,7 +8,10 @@ the saved intermediates must give the same files.
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from functools import cached_property
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topodist
+import topodist.cli as cli
 import topodist.pipeline as pipeline
 from reference_complexes import weight_of
 from topodist.cli import main
@@ -44,7 +49,7 @@ from topodist.complexes import (
 )
 from topodist.diffusion import DiffusionOperator
 from topodist.homology import persistence_diagrams, write_diagrams_csv
-from topodist.wasserstein import DiagramDistanceSpec, wasserstein
+from topodist.wasserstein import DiagramDistanceSpec, distance_matrix, wasserstein
 
 
 SPEC = TorusSpec(
@@ -117,7 +122,67 @@ class TestPipelineConfig:
         assert config.metric_spec().cap_value == 2.0
 
 
+_COUNTS = {"m": 3, "n_samples": 4, "n_observations": 10}
+
+
+@pytest.mark.parametrize(
+    "spec, field, value, rest",
+    [
+        (TorusSpec, "seed", 1.5, _COUNTS),
+        (TorusSpec, "seed", -1, _COUNTS),
+        (TorusSpec, "seed", True, _COUNTS),
+        (TorusSpec, "r_max", "2", _COUNTS),
+        (TorusSpec, "sigma", True, _COUNTS),
+        (DiagramDistanceSpec, "p", "2", {}),
+        (DiagramDistanceSpec, "p", True, {}),
+        (DiagramDistanceSpec, "cap_value", "2", {}),
+        (DiagramDistanceSpec, "cap_value", True, {"infinite_policy": "cap"}),
+    ],
+)
+def test_spec_rejects_a_bad_setting_by_name(spec, field, value, rest):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        spec(**rest, **{field: value})
+
+
+# one run per BLAS thread count: matrix products may sum in another order
+_BLAS_RUN = """
+import dataclasses, sys
+import numpy as np
+import topodist as td
+spec = td.TorusSpec(m=8, n_samples=10, n_observations=100, r_max=15, sigma=0.1)
+datasets = [td.generate_torus_dataset(dataclasses.replace(spec, seed=s)) for s in (1, 2, 3)]
+config = td.PipelineConfig()
+weights = [td.build_weighted_complex(ds, config).weights for ds in datasets]
+matrix, _ = td.run_pipeline(datasets, config)
+np.savez(sys.argv[1], matrix.entries, *weights)
+"""
+
+
 class TestRunPipeline:
+    def test_distances_move_by_at_most_the_weight_changes_across_blas_thread_counts(
+        self, tmp_path
+    ):
+        # the stability corollary of the distance-matrix test in
+        # test_wasserstein.py at p = 2: |D_ij(1) - D_ij(2)| is at most
+        # ||w_i(1) - w_i(2)||_2 + ||w_j(1) - w_j(2)||_2, whether or not this
+        # machine's BLAS sums in another order on two threads
+        src = str(Path(topodist.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", _BLAS_RUN, out], env=env, check=True)
+            with np.load(out) as arrays:
+                runs.append([arrays[f"arr_{k}"] for k in range(4)])
+        (d_1, *w_1), (d_2, *w_2) = runs
+        moved = [float(np.linalg.norm(a - b)) for a, b in zip(w_1, w_2)]
+        for i, j in itertools.combinations(range(3), 2):
+            bound = moved[i] + moved[j]
+            # a few ulp for the rounding of the distances and the norms
+            slack = 8 * np.finfo(float).eps * (bound + d_1[i, j] + d_2[i, j])
+            assert abs(d_1[i, j] - d_2[i, j]) <= bound + slack
+
     def test_identical_datasets_have_zero_distance(self):
         ds = torus_datasets([3])[0]
         matrix, _ = run_pipeline([ds, ds], PipelineConfig())
@@ -551,6 +616,30 @@ class TestDimensionSweep:
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
+
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            ([], DiagramDistanceSpec()),
+            (["--degree", 0, "--p", 1], DiagramDistanceSpec(p=1.0, degree=0)),
+        ],
+    )
+    def test_distance_flags_reach_the_spec(self, tmp_path, monkeypatch, flags, spec):
+        seen = []
+
+        def recording(diagrams, spec, labels):
+            seen.append(spec)
+            return distance_matrix(diagrams, spec, labels=labels)
+
+        monkeypatch.setattr(cli, "distance_matrix", recording)
+        for name, death in (("a", 1.0), ("b", 2.0)):
+            rows = f"degree,birth,death\n0,0.0,{death}\n1,0.5,{death}\n"
+            (tmp_path / f"{name}.csv").write_text(rows)
+        assert self.run(
+            "distance", tmp_path / "a.csv", tmp_path / "b.csv", "--out", tmp_path / "d.csv",
+            *flags,
+        ) == 0
+        assert seen == [spec]
 
     def test_staged_chain_matches_pipeline(self, tmp_path):
         for seed, name in ((1, "ds1"), (2, "ds2")):
