@@ -27,12 +27,7 @@ from topodist.dataset import (
     save_dataset,
 )
 from topodist.embedding import diffusion_maps, export_embedding
-from topodist.homology import (
-    EssentialPolicy,
-    persistence_diagrams,
-    read_diagrams_csv,
-    write_diagrams_csv,
-)
+from topodist.homology import persistence_diagrams, read_diagrams_csv, write_diagrams_csv
 from topodist.pipeline import (
     _SCHEMES,
     _SKELETONS,
@@ -131,7 +126,7 @@ def _cmd_build_complex(args: argparse.Namespace) -> int:
 
 def _cmd_ph(args: argparse.Namespace) -> int:
     cx = read_complex_csv(args.complex)
-    diagrams = persistence_diagrams(cx, degrees=(0, 1), essential_policy=args.essential_policy)
+    diagrams = persistence_diagrams(cx, degrees=(0, 1))
     write_diagrams_csv(diagrams.values(), args.out)
     counts = {k: d.n_pairs for k, d in diagrams.items()}
     print(f"wrote diagrams with pair counts {counts} to {args.out}")
@@ -219,9 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ph", help="persistence diagrams of a weighted complex")
     p.add_argument("--complex", required=True, help="complex CSV path")
     p.add_argument("--out", required=True, help="diagrams CSV path")
-    p.add_argument(
-        "--essential-policy", choices=get_args(EssentialPolicy), default="infinite"
-    )
     p.set_defaults(handler=_cmd_ph)
 
     p = sub.add_parser("distance", help="Wasserstein distance matrix of diagram files")

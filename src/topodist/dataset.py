@@ -306,7 +306,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset directory written by :func:`save_dataset`."""
+    """Load a dataset directory written by :func:`save_dataset`.
+
+    The manifest is checked key by key: counts must be JSON integers (no
+    float or string is truncated), ``d_obs`` and ``labels`` arrays and
+    ``metadata`` an object, else a ``ValueError`` names the key."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -315,12 +319,19 @@ def load_dataset(path: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path} must be a JSON object")
     for key in ("n_samples", "n_observations", "d_obs", "labels"):
         if key not in manifest:
             raise ValueError(f"manifest {manifest_path} is missing {key!r}")
-    n = int(manifest["n_samples"])
-    n_obs = int(manifest["n_observations"])
-    dims = [int(d) for d in manifest["d_obs"]]
+    for key, kind, name in (
+        ("d_obs", list, "array"), ("labels", list, "array"), ("metadata", dict, "object")
+    ):
+        if not isinstance(manifest.get(key, {}), kind):
+            raise ValueError(f"manifest {key} must be a JSON {name}, got {manifest[key]!r}")
+    n = _integer(manifest["n_samples"], "n_samples")
+    n_obs = _integer(manifest["n_observations"], "n_observations")
+    dims = [_integer(d, f"d_obs[{i}]") for i, d in enumerate(manifest["d_obs"])]
     labels = [str(x) for x in manifest["labels"]]
     if len(dims) != n or len(labels) != n:
         raise ValueError(

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, get_args
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "write_diagrams_csv",
     "read_diagrams_csv",
 ]
-
-EssentialPolicy = Literal["infinite", "cap"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,42 +259,34 @@ def reduce_matrix(m: BoundaryMatrix) -> Reduction:
 
 
 def extract_diagram(
-    reduction: Reduction,
-    cx: WeightedComplex,
-    degree: int,
-    essential_policy: EssentialPolicy = "infinite",
+    reduction: Reduction, cx: WeightedComplex, degree: int
 ) -> PersistenceDiagram:
     """Persistence diagram of one degree from a reduction.
 
     Pairs with equal birth and death weight are dropped.  Essential classes
-    get death ``inf``, or the complex's maximum weight under the ``cap``
-    policy (kept even when that equals the birth, so the class stays
-    visible).  Births, deaths and essential classes are filtered by degree
-    as arrays; only the pairs of the diagram become objects.
+    always get death ``inf``: only the metric's infinite policy
+    (:class:`~topodist.wasserstein.DiagramDistanceSpec`) drops or caps
+    them.  Births, deaths and essential classes are filtered by degree as
+    arrays; only the pairs of the diagram become objects.
     """
-    if essential_policy not in get_args(EssentialPolicy):
-        raise ValueError(f"unknown essential policy {essential_policy!r}")
     weights, dims = cx.weights, cx.dims
     births, deaths = reduction.pairs.T
     keep = (dims[births] == degree) & (weights[births] != weights[deaths])
     births, deaths = births[keep], deaths[keep]
     essential = reduction.essential[dims[reduction.essential] == degree]
-    death = math.inf if essential_policy == "infinite" else cx.max_weight
     finite = map(
         PersistencePair, repeat(degree), weights[births].tolist(), weights[deaths].tolist(),
         births.tolist(), deaths.tolist(),
     )
     classes = map(
-        PersistencePair, repeat(degree), weights[essential].tolist(), repeat(death),
+        PersistencePair, repeat(degree), weights[essential].tolist(), repeat(math.inf),
         essential.tolist(),
     )
     return PersistenceDiagram(degree, (*finite, *classes))
 
 
 def persistence_diagrams(
-    cx: WeightedComplex,
-    degrees: Iterable[int] = (0, 1),
-    essential_policy: EssentialPolicy = "infinite",
+    cx: WeightedComplex, degrees: Iterable[int] = (0, 1)
 ) -> dict[int, PersistenceDiagram]:
     """Diagrams of ``cx`` in each of ``degrees``: its filtration order,
     then :func:`boundary_matrix`, :func:`reduce_matrix` and
@@ -308,20 +298,20 @@ def persistence_diagrams(
     every complex over that skeleton.
     """
     reduction = reduce_matrix(_boundary(cx, _filtration_order(cx)))
-    return {k: extract_diagram(reduction, cx, k, essential_policy) for k in degrees}
+    return {k: extract_diagram(reduction, cx, k) for k in degrees}
 
 
 def write_diagrams_csv(
     diagrams: Iterable[PersistenceDiagram], path: str | Path
 ) -> None:
-    """Write ``degree,birth,death`` rows; essential deaths become ``inf``."""
+    """Write ``degree,birth,death`` rows, each value its ``repr``; an
+    essential class's death is written ``inf``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["degree", "birth", "death"])
         for dg in diagrams:
             for birth, death in dg.points():
-                death_text = "inf" if math.isinf(death) else repr(death)
-                writer.writerow([dg.degree, repr(birth), death_text])
+                writer.writerow([dg.degree, repr(birth), repr(death)])
 
 
 def read_diagrams_csv(
@@ -347,7 +337,7 @@ def read_diagrams_csv(
             try:
                 degree = int(row[0])
                 birth = float(row[1])
-                death = math.inf if row[2] == "inf" else float(row[2])
+                death = float(row[2])
             except ValueError:
                 raise ValueError(f"malformed diagram CSV row: {row}") from None
             try:

@@ -120,7 +120,9 @@ def _gap(birth, death):
 def _resolved_points(
     diagram: PersistenceDiagram, spec: DiagramDistanceSpec
 ) -> np.ndarray:
-    """(n, 2) finite (birth, death) rows in pair order, after the infinite policy."""
+    """(n, 2) finite (birth, death) rows in pair order, after the infinite
+    policy: the one place an essential class (death ``inf``) is dropped or
+    capped."""
     if diagram.degree != spec.degree:
         raise ValueError(
             f"diagram degree {diagram.degree} does not match spec degree {spec.degree}"

@@ -321,3 +321,29 @@ def test_load_rejects_missing_or_bad_manifest(tmp_path: Path):
     (tmp_path / "manifest.json").write_text(json.dumps({"n_samples": 2}))
     with pytest.raises(ValueError, match="missing"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_samples", 3.7, "n_samples must be an integer, got 3.7"),
+        ("n_samples", True, "n_samples must be an integer, got True"),
+        ("n_observations", "10", "n_observations must be an integer, got '10'"),
+        ("d_obs", [6.9, 6, 6], "d_obs[0] must be an integer, got 6.9"),
+        ("d_obs", 6, "manifest d_obs must be a JSON array, got 6"),
+        ("labels", "abc", "manifest labels must be a JSON array, got 'abc'"),
+        ("metadata", [1, 2], "manifest metadata must be a JSON object, got [1, 2]"),
+        (None, 7, "must be a JSON object"),
+    ],
+)
+def test_load_checks_the_manifest_by_name(tmp_path: Path, key, value, message):
+    # no count is truncated, and no wrong JSON type escapes as a TypeError
+    save_dataset(generate_torus_dataset(TorusSpec(m=3, n_samples=3, n_observations=10)), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if key is None:
+        manifest = value
+    else:
+        manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(tmp_path)

@@ -250,19 +250,11 @@ def test_vertex_count_bookkeeping():
         assert dg0.n_pairs == n_vertices
 
 
-def test_cap_policy():
-    dgs = persistence_diagrams(hollow_triangle(), essential_policy="cap")
-    assert dgs[0].points() == [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]
-    assert dgs[1].points() == [(3.0, 3.0)]  # capped at max weight, kept
-
-
 def test_extract_rejects_bad_inputs():
     cx = hollow_triangle()
     red = reduce_matrix(boundary_matrix(cx, filtration_order(cx)))
     with pytest.raises(ValueError, match="degree"):
         extract_diagram(red, cx, 2)
-    with pytest.raises(ValueError, match="policy"):
-        extract_diagram(red, cx, 0, essential_policy="drop")
 
 
 def test_reduction_deterministic():
@@ -365,15 +357,12 @@ def test_reduce_matrix_equals_standard_reduction(cx):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(*COMPLEXES, *map(shuffled, COMPLEXES)),
-    st.sampled_from(["infinite", "cap"]),
-)
-def test_persistence_diagrams_equal_the_standard_reduction(cx, policy):
+@given(st.one_of(*COMPLEXES, *map(shuffled, COMPLEXES)))
+def test_persistence_diagrams_equal_the_standard_reduction(cx):
     # pair for pair: order, simplex ids, births and deaths
     reduction = standard_reduction(cx, filtration_order(cx))
-    expected = {k: extract_diagram(reduction, cx, k, policy) for k in (0, 1)}
-    assert persistence_diagrams(cx, essential_policy=policy) == expected
+    expected = {k: extract_diagram(reduction, cx, k) for k in (0, 1)}
+    assert persistence_diagrams(cx) == expected
 
 
 def test_persistence_diagrams_need_a_monotone_complex():
@@ -439,11 +428,10 @@ def test_euler_consistency_along_filtration():
             assert v - e + t == alive[0] - alive[1] + alive[2]
 
 
-@pytest.mark.parametrize("policy", ["infinite", "cap"])
-def test_empty_complex_has_empty_diagrams(policy):
+def test_empty_complex_has_empty_diagrams():
     cx = assign_weights([], [])
     assert cx.max_weight == 0.0
-    diagrams = persistence_diagrams(cx, essential_policy=policy)
+    diagrams = persistence_diagrams(cx)
     assert {k: d.pairs for k, d in diagrams.items()} == {0: (), 1: ()}
 
 

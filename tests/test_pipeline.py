@@ -641,7 +641,14 @@ class TestCli:
         ) == 0
         assert seen == [spec]
 
-    def test_staged_chain_matches_pipeline(self, tmp_path):
+    @pytest.mark.parametrize(
+        "metric",
+        [[], ["--degree", 0, "--infinite-policy", "cap", "--cap-value", 100]],
+        ids=["drop", "cap"],
+    )
+    def test_staged_chain_matches_pipeline(self, tmp_path, metric):
+        # diagrams always carry inf: only the metric's policy drops or caps
+        # essential classes, so ph -> distance equals pipeline under both
         for seed, name in ((1, "ds1"), (2, "ds2")):
             assert self.run(
                 "generate-sim", "--m", 4, "--n-samples", 6, "--n-observations", 40,
@@ -659,10 +666,10 @@ class TestCli:
             ) == 0
         assert self.run(
             "distance", tmp_path / "ds1.csv", tmp_path / "ds2.csv",
-            "--out", tmp_path / "dist.csv",
+            "--out", tmp_path / "dist.csv", *metric,
         ) == 0
         assert self.run(
-            "pipeline", tmp_path / "ds1", tmp_path / "ds2", "--out", tmp_path / "run",
+            "pipeline", tmp_path / "ds1", tmp_path / "ds2", "--out", tmp_path / "run", *metric,
         ) == 0
         assert (tmp_path / "dist.csv").read_bytes() == (
             tmp_path / "run" / "distances.csv"
