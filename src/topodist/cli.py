@@ -27,7 +27,7 @@ from topodist.dataset import (
     save_dataset,
 )
 from topodist.embedding import diffusion_maps, export_embedding
-from topodist.homology import persistence_diagrams, read_diagrams_csv, write_diagrams_csv
+from topodist.homology import _DEGREES, persistence_diagrams, read_diagrams_csv, write_diagrams_csv
 from topodist.pipeline import (
     _SCHEMES,
     _SKELETONS,
@@ -73,7 +73,7 @@ def _given(cls: type, args: argparse.Namespace) -> dict[str, Any]:
 
 def _add_metric_args(p: argparse.ArgumentParser) -> None:
     """The :class:`DiagramDistanceSpec` fields, each defaulting to the spec's own."""
-    p.add_argument("--degree", type=int, choices=[0, 1])
+    p.add_argument("--degree", type=int, choices=_DEGREES)
     p.add_argument("--p", type=float, help="Wasserstein order")
     p.add_argument("--infinite-policy", choices=get_args(InfinitePolicy))
     p.add_argument("--cap-value", type=float)
@@ -126,7 +126,7 @@ def _cmd_build_complex(args: argparse.Namespace) -> int:
 
 def _cmd_ph(args: argparse.Namespace) -> int:
     cx = read_complex_csv(args.complex)
-    diagrams = persistence_diagrams(cx, degrees=(0, 1))
+    diagrams = persistence_diagrams(cx)
     write_diagrams_csv(diagrams.values(), args.out)
     counts = {k: d.n_pairs for k, d in diagrams.items()}
     print(f"wrote diagrams with pair counts {counts} to {args.out}")

@@ -9,7 +9,6 @@ embedded as (l_1 phi_1(i), ..., l_d phi_d(i)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from topodist.dataset import _integer, _readonly
 from topodist.diffusion import _two_step, affinity, median_scale
-from topodist.wasserstein import DatasetDistanceMatrix
+from topodist.wasserstein import DatasetDistanceMatrix, _read_table, _write_table
 
 __all__ = [
     "Embedding",
@@ -111,11 +110,7 @@ def diffusion_maps(
 
 def export_embedding(e: Embedding, path: str | Path) -> None:
     """CSV with a label column and one column per coordinate, 12 digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", *(f"coord_{j + 1}" for j in range(e.dimension))])
-        for label, row in zip(e.labels, e.coordinates):
-            writer.writerow([label, *(format(v, ".12g") for v in row)])
+    _write_table(path, _embedding_header(e.dimension), e.labels, e.coordinates)
 
 
 def read_embedding_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -124,21 +119,11 @@ def read_embedding_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     Eigenvalues are not stored in the CSV, so the result is not a full
     :class:`Embedding`.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows or rows[0][:1] != ["label"]:
-        raise ValueError(f"unexpected embedding CSV header in {path}")
-    d = len(rows[0]) - 1
-    if rows[0][1:] != [f"coord_{j + 1}" for j in range(d)]:
+    header, labels, coords = _read_table(path, "embedding", corner="label")
+    if header != _embedding_header(coords.shape[1]):
         raise ValueError(f"unexpected coordinate columns in {path}")
-    labels = []
-    coords = np.zeros((len(rows) - 1, d))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != d + 1:
-            raise ValueError(f"row {i} has {len(row) - 1} coordinates, expected {d}")
-        labels.append(row[0])
-        try:
-            coords[i] = [float(v) for v in row[1:]]
-        except ValueError:
-            raise ValueError(f"malformed embedding CSV row: {row}") from None
-    return tuple(labels), coords
+    return labels, coords
+
+
+def _embedding_header(d: int) -> list[str]:
+    return ["label", *(f"coord_{j + 1}" for j in range(d))]

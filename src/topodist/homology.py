@@ -45,6 +45,15 @@ __all__ = [
     "read_diagrams_csv",
 ]
 
+_DEGREES = (0, 1)  # the complexes stop at triangles
+
+
+def _degree(degree: int) -> int:
+    """``degree``, checked to be one of the supported homology degrees."""
+    if degree not in _DEGREES:
+        raise ValueError(f"degree must be 0 or 1, got {degree}")
+    return degree
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
@@ -76,9 +85,8 @@ class Reduction:
     ``pairs`` holds rows (birth simplex id, death simplex id), ordered by
     the death simplex's filtration position; ``essential`` holds the ids of
     simplexes whose classes never die, by ascending filtration position.
-    This is the order a left-to-right column reduction emits them in.
-    Diagrams keep it, and the Wasserstein cost sums follow it, so the bytes
-    of a distance matrix depend on it.
+    This is the order a left-to-right column reduction emits them in; a
+    diagram does not keep it, but stores its pairs in its own order.
     """
 
     pairs: np.ndarray
@@ -94,8 +102,7 @@ class PersistencePair:
     death_simplex: int | None = None
 
     def __post_init__(self) -> None:
-        if self.degree not in (0, 1):
-            raise ValueError(f"degree must be 0 or 1, got {self.degree}")
+        _degree(self.degree)
         if not math.isfinite(self.birth):
             raise ValueError(f"birth must be finite, got {self.birth}")
         if not self.birth <= self.death:
@@ -108,15 +115,21 @@ class PersistencePair:
 
 @dataclass(frozen=True)
 class PersistenceDiagram:
-    """Multiset of (birth, death) pairs of one homology degree, 0 or 1."""
+    """Multiset of (birth, death) pairs of one homology degree, 0 or 1.
+
+    The pairs are stored in one total order, by birth, death, birth and
+    death simplex id, then the signs of birth and death, so that ``-0.0``
+    and ``0.0`` have their place: diagrams equal as multisets are equal,
+    and a diagram written by :func:`write_diagrams_csv` and read back holds
+    its points in the same order, so it gives the same distances.
+    """
 
     degree: int
     pairs: tuple[PersistencePair, ...]
 
     def __post_init__(self) -> None:
-        if self.degree not in (0, 1):
-            raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        pairs = tuple(self.pairs)
+        _degree(self.degree)
+        pairs = tuple(sorted(self.pairs, key=_pair_key))
         for p in pairs:
             if p.degree != self.degree:
                 raise ValueError(
@@ -125,12 +138,18 @@ class PersistenceDiagram:
         object.__setattr__(self, "pairs", pairs)
 
     def points(self) -> list[tuple[float, float]]:
-        """(birth, death) tuples, sorted; death may be ``inf``."""
-        return sorted((p.birth, p.death) for p in self.pairs)
+        """(birth, death) tuples in the stored order; death may be ``inf``."""
+        return [(p.birth, p.death) for p in self.pairs]
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+
+def _pair_key(p: PersistencePair) -> tuple:
+    death_simplex = math.inf if p.death_simplex is None else p.death_simplex
+    signs = math.copysign(1.0, p.birth), math.copysign(1.0, p.death)
+    return p.birth, p.death, p.birth_simplex, death_simplex, *signs
 
 
 def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix:
@@ -285,11 +304,9 @@ def extract_diagram(
     return PersistenceDiagram(degree, (*finite, *classes))
 
 
-def persistence_diagrams(
-    cx: WeightedComplex, degrees: Iterable[int] = (0, 1)
-) -> dict[int, PersistenceDiagram]:
-    """Diagrams of ``cx`` in each of ``degrees``: its filtration order,
-    then :func:`boundary_matrix`, :func:`reduce_matrix` and
+def persistence_diagrams(cx: WeightedComplex) -> dict[int, PersistenceDiagram]:
+    """Diagrams of ``cx`` in degrees 0 and 1: its filtration order, then
+    :func:`boundary_matrix`, :func:`reduce_matrix` and
     :func:`extract_diagram`.
 
     The order comes from the complex as an array, and is not re-checked as
@@ -298,14 +315,14 @@ def persistence_diagrams(
     every complex over that skeleton.
     """
     reduction = reduce_matrix(_boundary(cx, _filtration_order(cx)))
-    return {k: extract_diagram(reduction, cx, k) for k in degrees}
+    return {k: extract_diagram(reduction, cx, k) for k in _DEGREES}
 
 
 def write_diagrams_csv(
     diagrams: Iterable[PersistenceDiagram], path: str | Path
 ) -> None:
-    """Write ``degree,birth,death`` rows, each value its ``repr``; an
-    essential class's death is written ``inf``."""
+    """Write ``degree,birth,death`` rows, each value its ``repr``, in each
+    diagram's stored order; an essential class's death is written ``inf``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["degree", "birth", "death"])
@@ -315,7 +332,7 @@ def write_diagrams_csv(
 
 
 def read_diagrams_csv(
-    path: str | Path, degrees: Iterable[int] = (0, 1)
+    path: str | Path, degrees: Iterable[int] = _DEGREES
 ) -> dict[int, PersistenceDiagram]:
     """Read diagrams written by :func:`write_diagrams_csv`, keyed by degree.
 

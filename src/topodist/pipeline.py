@@ -42,6 +42,7 @@ from topodist.homology import (
 from topodist.wasserstein import (
     DatasetDistanceMatrix,
     DiagramDistanceSpec,
+    _default_labels,
     distance_matrix,
     write_distance_csv,
 )
@@ -71,8 +72,8 @@ class PipelineConfig:
     """Every knob of the end-to-end run, JSON round-trippable.
 
     ``degree``/``p``/``infinite_policy``/``cap_value`` configure the
-    diagram metric and are validated by the :class:`DiagramDistanceSpec`
-    that :meth:`metric_spec` builds, and
+    diagram metric; their defaults are those of :class:`DiagramDistanceSpec`,
+    and the spec that :meth:`metric_spec` builds validates them, and
     ``skeleton`` selects the complex built over each dataset's samples.
     With ``normalize`` the pipeline divides each complex's weights, of
     either ``weight_scheme``, by the median of its monotone
@@ -83,10 +84,10 @@ class PipelineConfig:
 
     kernel_epsilon_factor: float = 1.0
     skeleton: str = "complete"
-    degree: int = 1
-    p: float = 2.0
-    infinite_policy: str = "drop"
-    cap_value: float | None = None
+    degree: int = DiagramDistanceSpec.degree
+    p: float = DiagramDistanceSpec.p
+    infinite_policy: str = DiagramDistanceSpec.infinite_policy
+    cap_value: float | None = DiagramDistanceSpec.cap_value
     normalize: bool = False
     weight_scheme: str = "alternating"
 
@@ -236,7 +237,7 @@ def _labeled(
     if n < 2:
         raise ValueError(f"need at least 2 datasets, got {n}")
     if labels is None:
-        return datasets, tuple(f"dataset_{i}" for i in range(n))
+        return datasets, _default_labels(n)
     labels = tuple(str(x) for x in labels)
     for label in labels:
         if "/" in label or "\\" in label:
@@ -289,7 +290,7 @@ def run_pipeline(
         except ValueError as exc:
             raise PipelineError(f"dataset {label!r}, stage weights: {exc}") from exc
         try:
-            pds = persistence_diagrams(cx, degrees=(0, 1))
+            pds = persistence_diagrams(cx)
         except ValueError as exc:
             raise PipelineError(f"dataset {label!r}, stage homology: {exc}") from exc
         diagrams[label] = pds

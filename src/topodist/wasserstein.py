@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from topodist.dataset import _integer, _readonly, _real
-from topodist.homology import PersistenceDiagram
+from topodist.homology import PersistenceDiagram, _degree
 
 __all__ = [
     "DiagramDistanceSpec",
@@ -62,9 +62,7 @@ class DiagramDistanceSpec:
     def __post_init__(self) -> None:
         if not 1.0 <= _real(self.p, "p") < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
-        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
-        if self.degree not in (0, 1):
-            raise ValueError(f"degree must be 0 or 1, got {self.degree}")
+        object.__setattr__(self, "degree", _degree(_integer(self.degree, "degree")))
         if self.infinite_policy not in get_args(InfinitePolicy):
             raise ValueError(f"unknown infinite policy {self.infinite_policy!r}")
         if self.cap_value is not None:
@@ -88,12 +86,13 @@ class DatasetDistanceMatrix:
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != m.shape[0]:
             raise ValueError(f"{m.shape[0]} rows but {len(labels)} labels")
+        # before symmetry: nan != nan, so a nan would read as an asymmetry
+        if (m < 0.0).any() or not np.isfinite(m).all():
+            raise ValueError("distances must be finite and nonnegative")
         if not np.array_equal(m, m.T):
             raise ValueError("distance matrix must be exactly symmetric")
         if not np.array_equal(np.diag(m), np.zeros(m.shape[0])):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        if (m < 0.0).any() or not np.isfinite(m).all():
-            raise ValueError("distances must be finite and nonnegative")
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "labels", labels)
 
@@ -120,7 +119,7 @@ def _gap(birth, death):
 def _resolved_points(
     diagram: PersistenceDiagram, spec: DiagramDistanceSpec
 ) -> np.ndarray:
-    """(n, 2) finite (birth, death) rows in pair order, after the infinite
+    """(n, 2) finite (birth, death) rows in the diagram's order, after the infinite
     policy: the one place an essential class (death ``inf``) is dropped or
     capped."""
     if diagram.degree != spec.degree:
@@ -191,9 +190,7 @@ def distance_matrix(
 ) -> DatasetDistanceMatrix:
     """All pairwise Wasserstein distances; each unordered pair solved once."""
     n = len(diagrams)
-    if labels is None:
-        labels = [f"dataset_{i}" for i in range(n)]
-    labels = tuple(labels)
+    labels = _default_labels(n) if labels is None else tuple(labels)
     if len(labels) != n:
         raise ValueError(f"{n} rows but {len(labels)} labels")
     points = [_resolved_points(dg, spec) for dg in diagrams]
@@ -204,32 +201,59 @@ def distance_matrix(
     return DatasetDistanceMatrix(out, labels)
 
 
+def _default_labels(n: int) -> tuple[str, ...]:
+    """The labels of ``n`` datasets given none: ``dataset_0``, ``dataset_1``, ..."""
+    return tuple(f"dataset_{i}" for i in range(n))
+
+
 def write_distance_csv(m: DatasetDistanceMatrix, path: str | Path) -> None:
     """CSV with labels as first row and first column, 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *m.labels])
-        for label, row in zip(m.labels, m.entries):
-            writer.writerow([label, *(format(v, ".12g") for v in row)])
+    _write_table(path, ["", *m.labels], m.labels, m.entries)
 
 
 def read_distance_csv(path: str | Path) -> DatasetDistanceMatrix:
     """Read a matrix written by :func:`write_distance_csv`."""
+    header, labels, entries = _read_table(path, "distance", corner="")
+    if len(labels) != len(header) - 1:
+        raise ValueError(f"expected {len(header) - 1} data rows, found {len(labels)}")
+    for row, column in zip(labels, header[1:]):
+        if row != column:
+            raise ValueError(f"row label {row!r} does not match column label {column!r}")
+    return DatasetDistanceMatrix(entries, labels)
+
+
+def _write_table(
+    path: str | Path, header: Sequence[str], labels: Sequence[str], rows: np.ndarray
+) -> None:
+    """The table format of distances and embeddings: a header row, then per
+    label a row of the label and its values to 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for label, row in zip(labels, rows):
+            writer.writerow([label, *(format(v, ".12g") for v in row)])
+
+
+def _read_table(
+    path: str | Path, kind: str, corner: str
+) -> tuple[list[str], tuple[str, ...], np.ndarray]:
+    """Header, row labels and values of a :func:`_write_table` file whose
+    header starts with ``corner``.  Every row holds one finite value per
+    header column after the first; an error names the ``kind`` CSV row
+    that does not."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows or rows[0][:1] != [""]:
-        raise ValueError(f"distance CSV must start with an empty-corner header: {path}")
-    labels = rows[0][1:]
-    if len(rows) != len(labels) + 1:
-        raise ValueError(f"expected {len(labels)} data rows, found {len(rows) - 1}")
-    entries = np.zeros((len(labels), len(labels)))
-    for i, row in enumerate(rows[1:]):
-        if row[0] != labels[i]:
-            raise ValueError(f"row label {row[0]!r} does not match column label {labels[i]!r}")
-        if len(row) != len(labels) + 1:
-            raise ValueError(f"row {row[0]!r} has {len(row) - 1} values, expected {len(labels)}")
+        header, *rows = [r for r in csv.reader(fh) if r] or [[]]
+    if header[:1] != [corner]:
+        raise ValueError(f"{kind} CSV must start with a header whose corner is {corner!r}: {path}")
+    width = len(header) - 1
+    values = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width + 1:
+            raise ValueError(f"{kind} CSV row {row[0]!r} has {len(row) - 1} values, not {width}")
         try:
-            entries[i] = [float(v) for v in row[1:]]
+            values[i] = [float(v) for v in row[1:]]
         except ValueError:
-            raise ValueError(f"malformed distance CSV row: {row}") from None
-    return DatasetDistanceMatrix(entries, tuple(labels))
+            raise ValueError(f"malformed {kind} CSV row: {row}") from None
+        if not np.isfinite(values[i]).all():
+            raise ValueError(f"malformed {kind} CSV row: {row}: values must be finite")
+    return header, tuple(row[0] for row in rows), values

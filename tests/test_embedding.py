@@ -1,5 +1,7 @@
 """Tests for the diffusion-maps embedding of dataset distance matrices."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -213,4 +215,14 @@ def test_read_embedding_names_the_malformed_row(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("label,coord_1\nfoo,1\nbar,x\n")
     with pytest.raises(ValueError, match=r"^malformed embedding CSV row: \['bar', 'x'\]$"):
+        read_embedding_csv(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_embedding_names_a_non_finite_row(tmp_path, value):
+    # such a coordinate used to be read back as a number
+    p = tmp_path / "e.csv"
+    p.write_text(f"label,coord_1,coord_2\nfoo,1,2\nbar,0.5,{value}\n")
+    row = re.escape(str(["bar", "0.5", value]))
+    with pytest.raises(ValueError, match=f"^malformed embedding CSV row: {row}: .*finite"):
         read_embedding_csv(p)

@@ -2,6 +2,8 @@
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ def test_equal_weight_cycle_and_fill_cancel():
 
 def test_connected_complete_complex_one_essential_component():
     cx = torus_complex()
-    dg0 = persistence_diagrams(cx, degrees=(0,))[0]
+    dg0 = persistence_diagrams(cx)[0]
     essentials = [p for p in dg0.pairs if p.is_essential]
     assert len(essentials) == 1
     assert essentials[0].birth == 0.0
@@ -246,7 +248,7 @@ def test_vertex_count_bookkeeping():
     for _ in range(20):
         cx = random_monotone_complex(rng)
         n_vertices = cx.count(0)
-        dg0 = persistence_diagrams(cx, degrees=(0,))[0]
+        dg0 = persistence_diagrams(cx)[0]
         assert dg0.n_pairs == n_vertices
 
 
@@ -350,7 +352,7 @@ COMPLEXES = (tied_complete_complexes(), partial_complexes(), tied_grid_complexes
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(*COMPLEXES, *map(shuffled, COMPLEXES)))
 def test_reduce_matrix_equals_standard_reduction(cx):
-    # exact, pair order included: diagrams and distances follow that order
+    # exact, pair order included: the reduction's order is the standard one
     order = filtration_order(cx)
     red = reduce_matrix(boundary_matrix(cx, order))
     assert reduction_lists(red) == reduction_lists(standard_reduction(cx, order))
@@ -359,7 +361,8 @@ def test_reduce_matrix_equals_standard_reduction(cx):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(*COMPLEXES, *map(shuffled, COMPLEXES)))
 def test_persistence_diagrams_equal_the_standard_reduction(cx):
-    # pair for pair: order, simplex ids, births and deaths
+    # as sorted multisets, pair for pair: simplex ids, births and deaths; a
+    # diagram stores its pairs in its own order, not the reduction's
     reduction = standard_reduction(cx, filtration_order(cx))
     expected = {k: extract_diagram(reduction, cx, k) for k in (0, 1)}
     assert persistence_diagrams(cx) == expected
@@ -501,6 +504,54 @@ def test_diagram_csv_round_trip(tmp_path):
         back = read_diagrams_csv(path)
         for k in (0, 1):
             assert back[k].points() == dgs[k].points()
+
+
+_VALUES = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def pair_lists(draw, degree: int) -> list[PersistencePair]:
+    """Pairs of one degree, tie-rich, with signed zeros, essential classes
+    and simplex ids that a CSV read would give as well as real ones."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        birth = draw(_VALUES)
+        death = draw(st.just(math.inf) | st.just(birth) | _VALUES.filter(lambda d: d >= birth))
+        ids = st.sampled_from([-1, 0])
+        pairs.append(PersistencePair(degree, birth, death, draw(ids), draw(st.none() | ids)))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1]).flatmap(pair_lists), st.randoms(use_true_random=False))
+def test_any_pair_order_gives_the_same_diagram_and_bytes(pairs, order):
+    # the diagram stores one total order, so the reduction's pair order
+    # reaches neither an equality nor a CSV file
+    shuffled_pairs = order.sample(pairs, len(pairs))
+    degree = pairs[0].degree if pairs else 0
+    a, b = PersistenceDiagram(degree, pairs), PersistenceDiagram(degree, shuffled_pairs)
+    assert a == b
+    with tempfile.TemporaryDirectory() as tmp:
+        write_diagrams_csv([a], Path(tmp) / "a.csv")
+        write_diagrams_csv([b], Path(tmp) / "b.csv")
+        assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+
+
+def test_a_diagram_holds_its_pairs_in_the_order_it_is_written(tmp_path):
+    # the reduction gives the pair (5, 6) before (4, 7), by death; the
+    # diagram holds them by birth, as its CSV rows are written
+    cx = make_complex(
+        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 4.0, (0, 2): 5.0},
+        {(0, 2, 3): 6.0, (0, 1, 2): 7.0},
+        4,
+    )
+    reduction = reduce_matrix(boundary_matrix(cx, filtration_order(cx)))
+    assert cx.weights[reduction.pairs[-2:]].tolist() == [[5.0, 6.0], [4.0, 7.0]]
+    dg = persistence_diagrams(cx)[1]
+    assert [(p.birth, p.death) for p in dg.pairs] == [(4.0, 7.0), (5.0, 6.0)]
+    write_diagrams_csv([dg], tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_text().splitlines()[1:] == ["1,4.0,7.0", "1,5.0,6.0"]
+    assert read_diagrams_csv(tmp_path / "d.csv")[1].points() == dg.points()
 
 
 def test_diagram_csv_rejects_bad_header(tmp_path):

@@ -48,7 +48,7 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.diffusion import DiffusionOperator
-from topodist.homology import persistence_diagrams, write_diagrams_csv
+from topodist.homology import persistence_diagrams, read_diagrams_csv, write_diagrams_csv
 from topodist.wasserstein import DiagramDistanceSpec, distance_matrix, wasserstein
 
 
@@ -120,6 +120,9 @@ class TestPipelineConfig:
     def test_cap_with_value_accepted(self):
         config = PipelineConfig(infinite_policy="cap", cap_value=2.0)
         assert config.metric_spec().cap_value == 2.0
+
+    def test_metric_defaults_are_the_spec_defaults(self):
+        assert PipelineConfig().metric_spec() == DiagramDistanceSpec()
 
 
 _COUNTS = {"m": 3, "n_samples": 4, "n_observations": 10}
@@ -208,6 +211,21 @@ class TestRunPipeline:
         a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
         assert a.keys() == b.keys()
         assert all(a[k] == b[k] for k in a)
+
+    def test_matrix_equals_the_one_from_its_saved_diagrams(self, tmp_path):
+        # L = 100: many degree-1 pairs, whose cost sums once followed the
+        # reduction's order in memory and the sorted order on disk, and so
+        # differed in the last bit; a diagram now holds the order it is written in
+        spec = TorusSpec(m=8, n_samples=10, n_observations=100, r_max=15, sigma=0.1)
+        datasets = [generate_torus_dataset(dataclasses.replace(spec, seed=s)) for s in (70, 71, 72)]
+        config = PipelineConfig()
+        matrix, _ = run_pipeline(datasets, config, out_dir=tmp_path)
+        saved = [
+            read_diagrams_csv(tmp_path / "diagrams" / f"{label}.csv")[config.degree]
+            for label in matrix.labels
+        ]
+        again = distance_matrix(saved, config.metric_spec(), labels=matrix.labels)
+        assert np.array_equal(again.entries, matrix.entries)
 
     def test_artifact_layout(self, tmp_path):
         datasets = torus_datasets([1, 2])

@@ -366,6 +366,19 @@ def test_distance_matrix_type_validation():
         DatasetDistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), ("a", "b"))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_distance_is_named_as_such(tmp_path, value):
+    # nan != nan, so a nan matrix used to be reported as asymmetric
+    entries = np.array([[0.0, value], [value, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        DatasetDistanceMatrix(entries, ("a", "b"))
+    p = tmp_path / "d.csv"
+    p.write_text(f",a,b\na,0,{value}\nb,{value},0\n")
+    row = re.escape(str(["a", "0", str(value)]))
+    with pytest.raises(ValueError, match=f"^malformed distance CSV row: {row}: .*finite"):
+        read_distance_csv(p)
+
+
 def test_distance_csv_round_trip(tmp_path):
     rng = np.random.default_rng(239)
     dgs = [diagram(random_points(rng, 5)) for _ in range(4)]
