@@ -59,6 +59,15 @@ def filled_triangle() -> WeightedComplex:
     return make_complex({(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}, {(0, 1, 2): 4.0}, 3)
 
 
+def square_with_diagonal() -> WeightedComplex:
+    """A square 0-1-2-3 with diagonal 0-2, filled by (0,2,3) before (0,1,2)."""
+    return make_complex(
+        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 4.0, (0, 2): 5.0},
+        {(0, 2, 3): 6.0, (0, 1, 2): 7.0},
+        4,
+    )
+
+
 def random_monotone_complex(rng: np.random.Generator) -> WeightedComplex:
     """Random closed 2-complex on 3..7 vertices, tie-rich weights."""
     n = int(rng.integers(3, 8))
@@ -376,15 +385,10 @@ def test_persistence_diagrams_need_a_monotone_complex():
 
 
 def test_reduction_needs_cohomology_column_additions():
-    # a square 0-1-2-3 with diagonal 0-2, filled by (0,2,3) before (0,1,2):
     # (0,2) pairs apparently with (0,2,3), the oldest cofacet of (0,3) too,
     # so the column of (0,3) must add the coboundary of (0,2) before it
     # finds its own death (0,1,2)
-    cx = make_complex(
-        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 4.0, (0, 2): 5.0},
-        {(0, 2, 3): 6.0, (0, 1, 2): 7.0},
-        4,
-    )
+    cx = square_with_diagonal()
     order = filtration_order(cx)
     red = reduce_matrix(boundary_matrix(cx, order))
     assert reduction_lists(red) == reduction_lists(standard_reduction(cx, order))
@@ -540,11 +544,7 @@ def test_any_pair_order_gives_the_same_diagram_and_bytes(pairs, order):
 def test_a_diagram_holds_its_pairs_in_the_order_it_is_written(tmp_path):
     # the reduction gives the pair (5, 6) before (4, 7), by death; the
     # diagram holds them by birth, as its CSV rows are written
-    cx = make_complex(
-        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0, (0, 3): 4.0, (0, 2): 5.0},
-        {(0, 2, 3): 6.0, (0, 1, 2): 7.0},
-        4,
-    )
+    cx = square_with_diagonal()
     reduction = reduce_matrix(boundary_matrix(cx, filtration_order(cx)))
     assert cx.weights[reduction.pairs[-2:]].tolist() == [[5.0, 6.0], [4.0, 7.0]]
     dg = persistence_diagrams(cx)[1]
