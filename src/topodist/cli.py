@@ -135,8 +135,6 @@ def _cmd_ph(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     labels = [Path(p).stem for p in args.diagrams]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"diagram file stems must be unique, got {labels}")
     spec = DiagramDistanceSpec(**_given(DiagramDistanceSpec, args))
     diagrams = [
         read_diagrams_csv(p, degrees=(spec.degree,))[spec.degree] for p in args.diagrams
@@ -159,8 +157,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     datasets = [load_dataset(p) for p in args.datasets]
     labels = [Path(p).name for p in args.datasets]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"dataset directory names must be unique, got {labels}")
     out = Path(args.out)
     if args.graph_spectral:
         matrix = graph_spectral_distances(datasets, config, labels=labels)

@@ -60,6 +60,17 @@ def _scale_factor(value: float, name: str = "factor") -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _prescaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x`` times ``2**-e``, and ``e``, the :func:`math.frexp` exponent of
+    its largest magnitude.  The product is exact and its largest magnitude
+    lies in [0.5, 1), so no squared distance overflows and none that the
+    kernel can tell from 0 underflows; a Gaussian kernel at the median
+    scale reads only their ratios, so it gives the same bits at every
+    power-of-two scale of its input."""
+    e = math.frexp(np.abs(x).max(initial=0.0))[1]
+    return np.ldexp(x, -e), e
+
+
 def _is_noise(norms: np.ndarray, scale: np.ndarray, size: int) -> np.ndarray:
     """Mask of the ``norms`` at most ``size * eps * scale``, the rounding noise of ``scale``."""
     return norms <= size * _EPS * scale
@@ -205,9 +216,10 @@ def sample_diffusion_operator(sample: Sample, median_factor: float = 1.0) -> Dif
     """Full chain from a sample to its diffusion operator.
 
     The kernel scale is the median heuristic applied to this sample's own
-    distances.
+    distances, after :func:`_prescaled` brings its observations to unit
+    scale.
     """
-    d = pairwise_distances(sample)
+    d = pairwise_distances(Sample(_prescaled(sample.observations)[0]))
     eps = median_scale(d, median_factor)
     return diffusion_operator(affinity(d, eps))
 
@@ -244,14 +256,15 @@ def _affinities(
     coincident observations are exactly 0 apart), and each median is read
     from that sample's sorted positive squared distances, the mean of the
     two middle ones when their count is even, as :func:`numpy.median` takes
-    it.  A sample whose observations all coincide raises, naming the first
-    by its position plus ``start``.
+    it.  Each sample is :func:`_prescaled` first and its scale taken back
+    with :func:`numpy.ldexp` after, so a scale beyond the float range is
+    ``inf``.  A sample whose observations all coincide raises, naming the
+    first by its position plus ``start``.
     """
     count = len(index) * (len(index) - 1) // 2
-    squared = np.empty((len(samples), count))
-    for row, s in zip(squared, samples):
-        row[:] = pdist(s.observations, metric="euclidean")
-    squared **= 2
+    scaled = [_prescaled(s.observations) for s in samples]
+    squared = np.array([pdist(x, metric="euclidean") for x, _ in scaled])
+    squared = squared.reshape(len(samples), count) ** 2
     ordered = np.sort(squared, axis=1)
     zeros = (ordered == 0.0).sum(axis=1)
     positive = ordered.shape[1] - zeros
@@ -269,7 +282,9 @@ def _affinities(
     upper = np.empty((len(samples), count + 1))
     np.exp(-squared / epsilon[:, np.newaxis], out=upper[:, :count])
     upper[:, count] = 1.0
-    return upper.take(index, axis=1), epsilon
+    exponents = np.array([e for _, e in scaled], dtype=int)
+    with np.errstate(over="ignore"):
+        return upper.take(index, axis=1), np.ldexp(epsilon, 2 * exponents)
 
 
 def _affinity_stack(

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from topodist.dataset import _integer, _readonly
-from topodist.diffusion import _two_step, affinity, median_scale
-from topodist.wasserstein import DatasetDistanceMatrix, _read_table, _write_table
+from topodist.diffusion import _prescaled, _two_step, affinity, median_scale
+from topodist.wasserstein import DatasetDistanceMatrix, _labels, _read_table, _write_table
 
 __all__ = [
     "Embedding",
@@ -37,12 +37,10 @@ class Embedding:
     def __post_init__(self) -> None:
         coords = _readonly(self.coordinates)
         lam = _readonly(self.eigenvalues)
-        labels = tuple(str(x) for x in self.labels)
         if coords.ndim != 2:
             raise ValueError(f"coordinates must be 2-d, got shape {coords.shape}")
         n, d = coords.shape
-        if len(labels) != n:
-            raise ValueError(f"{n} rows but {len(labels)} labels")
+        object.__setattr__(self, "labels", _labels(self.labels, n))
         if lam.shape != (d,):
             raise ValueError(f"{d} coordinate columns but {lam.shape} eigenvalues")
         if not d < n:
@@ -55,7 +53,6 @@ class Embedding:
             raise ValueError("eigenvalues must lie in [-1, 1] up to 1e-10")
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_datasets(self) -> int:
@@ -74,13 +71,17 @@ def diffusion_maps(
     """Diffusion-maps coordinates from a dataset distance matrix.
 
     The kernel scale is ``epsilon_factor`` times the median squared
-    off-diagonal distance.  ``d`` defaults to 20, clamped to one below the
-    dataset count; an explicit ``d`` must satisfy ``1 <= d < n``.  The
-    eigenproblem is solved on the symmetric conjugate of the row-stochastic
-    kernel; eigenvector signs are fixed by making each vector's
-    largest-magnitude entry positive.
+    off-diagonal distance, taken once the distances are brought to unit
+    scale by a power of two, so finite distances of any magnitude embed.
+    ``d`` defaults to 20, clamped to one below the dataset count; an
+    explicit ``d`` must satisfy ``1 <= d < n``.  The eigenproblem is solved
+    on the symmetric conjugate of the row-stochastic kernel; eigenvector
+    signs are fixed by making each vector's largest-magnitude entry
+    positive.
     """
     n = distances.n
+    if n < 2:
+        raise ValueError(f"need at least 2 datasets to embed, got {n}")
     if d is None:
         d = min(20, n - 1)
     elif not 1 <= _integer(d, "embedding dimension d") < n:
@@ -88,8 +89,9 @@ def diffusion_maps(
 
     if not distances.entries.any():
         raise ValueError("every distance between datasets is 0; the embedding scale is degenerate")
-    eps = median_scale(distances.entries, epsilon_factor)
-    _, w_tilde, q_tilde = _two_step(affinity(distances.entries, eps).entries)
+    entries = _prescaled(distances.entries)[0]
+    eps = median_scale(entries, epsilon_factor)
+    _, w_tilde, q_tilde = _two_step(affinity(entries, eps).entries)
 
     inv_sqrt = 1.0 / np.sqrt(q_tilde)
     conjugate = w_tilde * np.outer(inv_sqrt, inv_sqrt)
@@ -122,7 +124,7 @@ def read_embedding_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     header, labels, coords = _read_table(path, "embedding", corner="label")
     if header != _embedding_header(coords.shape[1]):
         raise ValueError(f"unexpected coordinate columns in {path}")
-    return labels, coords
+    return _labels(labels, len(coords)), coords
 
 
 def _embedding_header(d: int) -> list[str]:

@@ -42,7 +42,7 @@ from topodist.homology import (
 from topodist.wasserstein import (
     DatasetDistanceMatrix,
     DiagramDistanceSpec,
-    _default_labels,
+    _labels,
     distance_matrix,
     write_distance_csv,
 )
@@ -230,22 +230,16 @@ def cross_correlation_complex(
 def _labeled(
     datasets: Sequence[Dataset], labels: Sequence[str] | None
 ) -> tuple[list[Dataset], tuple[str, ...]]:
-    """The datasets as a list, at least two, with unique labels for them,
-    none holding a path separator, since each names a file."""
+    """The datasets as a list, at least two, and their labels by
+    :func:`~topodist.wasserstein._labels`, none holding a path separator,
+    since each names a file."""
     datasets = list(datasets)
-    n = len(datasets)
-    if n < 2:
-        raise ValueError(f"need at least 2 datasets, got {n}")
-    if labels is None:
-        return datasets, _default_labels(n)
-    labels = tuple(str(x) for x in labels)
+    if len(datasets) < 2:
+        raise ValueError(f"need at least 2 datasets, got {len(datasets)}")
+    labels = _labels(labels, len(datasets))
     for label in labels:
         if "/" in label or "\\" in label:
             raise ValueError(f"dataset label {label!r} contains a path separator")
-    if len(labels) != n:
-        raise ValueError(f"need {n} labels, got {len(labels)}")
-    if len(set(labels)) != n:
-        raise ValueError("dataset labels must be unique")
     return datasets, labels
 
 

@@ -83,9 +83,7 @@ class DatasetDistanceMatrix:
         m = _readonly(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"distance matrix must be square, got {m.shape}")
-        labels = tuple(str(x) for x in self.labels)
-        if len(labels) != m.shape[0]:
-            raise ValueError(f"{m.shape[0]} rows but {len(labels)} labels")
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
         # before symmetry: nan != nan, so a nan would read as an asymmetry
         if (m < 0.0).any() or not np.isfinite(m).all():
             raise ValueError("distances must be finite and nonnegative")
@@ -94,7 +92,6 @@ class DatasetDistanceMatrix:
         if not np.array_equal(np.diag(m), np.zeros(m.shape[0])):
             raise ValueError("distance matrix diagonal must be exactly zero")
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -190,9 +187,7 @@ def distance_matrix(
 ) -> DatasetDistanceMatrix:
     """All pairwise Wasserstein distances; each unordered pair solved once."""
     n = len(diagrams)
-    labels = _default_labels(n) if labels is None else tuple(labels)
-    if len(labels) != n:
-        raise ValueError(f"{n} rows but {len(labels)} labels")
+    labels = _labels(labels, n)
     points = [_resolved_points(dg, spec) for dg in diagrams]
     out = np.zeros((n, n))
     for i in range(n):
@@ -201,9 +196,20 @@ def distance_matrix(
     return DatasetDistanceMatrix(out, labels)
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    """The labels of ``n`` datasets given none: ``dataset_0``, ``dataset_1``, ..."""
-    return tuple(f"dataset_{i}" for i in range(n))
+def _labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    """The labels of ``n`` datasets: ``dataset_0``, ``dataset_1``, ... given
+    none, else the given ones as strings, exactly ``n`` of them and each used
+    once.  The one label rule of every labelled result; an error names the
+    first label that comes again."""
+    if labels is None:
+        return tuple(f"dataset_{i}" for i in range(n))
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n:
+        raise ValueError(f"need {n} labels, got {len(labels)}")
+    if len(set(labels)) < n:
+        again = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise ValueError(f"dataset labels must be unique; {again!r} is used more than once")
+    return labels
 
 
 def write_distance_csv(m: DatasetDistanceMatrix, path: str | Path) -> None:

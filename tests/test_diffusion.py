@@ -295,6 +295,105 @@ def test_operator_invariant_under_rescaling(seed, n, dim, c):
     assert np.abs(scaled - base).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(3, 20),
+    dim=st.integers(1, 4),
+    mantissa=st.floats(1.0, 10.0),
+    power=st.integers(-300, 299),
+)
+def test_operators_hold_over_the_whole_float_range(seed, n, dim, mantissa, power):
+    # scaled by c in [1e-300, 1e300]: squared distances of c * x leave the
+    # float range, those of the power-of-two prescaled sample never do
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    scaled = Sample(mantissa * 10.0**power * x)
+    base = sample_diffusion_operator(Sample(x)).entries
+    assert np.abs(sample_diffusion_operator(scaled).entries - base).max() <= 1e-12
+    g = _centered_stack([scaled]).g
+    assert np.abs(g[0] - _centered(base[np.newaxis])[0][0]).max() <= 1e-12
+
+
+def test_a_kernel_scale_beyond_the_float_range_is_inf_without_a_warning():
+    x = np.random.default_rng(5).normal(size=(12, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = _centered_stack([Sample(np.ldexp(x, 1000))])
+        base = _centered_stack([Sample(x)])
+    assert huge.epsilon[0] == np.inf
+    assert np.array_equal(huge.g, base.g)
+    # in range, the scale is the median of the sample's own squared distances
+    scaled = _centered_stack([Sample(np.ldexp(x, 100))])
+    assert scaled.epsilon[0] == np.ldexp(base.epsilon[0], 200)
+
+
+# ---------------------------------------------------------------------------
+# motions the kernel ignores: it reads only the distances within a sample
+
+
+def torus_samples(seed: int) -> list[Sample]:
+    spec = TorusSpec(m=3, n_samples=6, n_observations=30, seed=seed)
+    return list(generate_torus_dataset(spec).samples)
+
+
+def weights_of(samples: list[Sample]) -> np.ndarray:
+    return assign_weights(complete_skeleton(len(samples)), _centered_stack(samples)).weights
+
+
+def relative_change(moved: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Per-weight relative change; the vertices weigh 0 and must stay 0."""
+    return np.abs(moved - base) / np.where(base == 0.0, 1.0, np.abs(base))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**10), st.lists(st.integers(-1000, 1000), min_size=6, max_size=6))
+def test_scaling_each_sample_by_a_power_of_two_keeps_every_weight(seed, exponents):
+    samples = torus_samples(seed)
+    moved = [Sample(np.ldexp(s.observations, e)) for s, e in zip(samples, exponents)]
+    assert np.array_equal(_centered_stack(moved).g, _centered_stack(samples).g)
+    assert np.array_equal(weights_of(moved), weights_of(samples))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**10), st.integers(0, 2**16))
+def test_rotating_each_sample_keeps_every_weight_within_1e_13(seed, rotation_seed):
+    # measured on such draws: at most 1.7e-15 relative
+    samples = torus_samples(seed)
+    rng = np.random.default_rng(rotation_seed)
+    moved = []
+    for s in samples:
+        q, _ = np.linalg.qr(rng.normal(size=(s.observation_dim, s.observation_dim)))
+        moved.append(Sample(s.observations @ q))
+    assert relative_change(weights_of(moved), weights_of(samples)).max() <= 1e-13
+
+
+# a translation by t rounds each coordinate at the scale of |t|, so the
+# distances keep about log2(spread / |t|) fewer bits; measured on such draws,
+# the weights moved by at most 5 eps max(1, |t| / spread)
+TRANSLATION_C = 64
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**10), st.integers(0, 2**16), st.floats(0.0, 6.0))
+def test_translating_each_sample_moves_weights_by_the_digits_it_costs(
+    seed, shift_seed, log_shift
+):
+    # |t| / spread from 0 to 1e6, where spread is the largest distance from
+    # an observation to its sample's mean
+    samples = torus_samples(seed)
+    rng = np.random.default_rng(shift_seed)
+    moved, ratio = [], 1.0
+    for s in samples:
+        x = s.observations
+        spread = np.linalg.norm(x - x.mean(axis=0), axis=1).max()
+        t = rng.normal(size=s.observation_dim)
+        t *= 10.0**log_shift * spread / np.linalg.norm(t)
+        ratio = max(ratio, np.linalg.norm(t) / spread)
+        moved.append(Sample(x + t))
+    bound = TRANSLATION_C * diffusion._EPS * ratio
+    assert relative_change(weights_of(moved), weights_of(samples)).max() <= bound
+
+
 @st.composite
 def duplicated_samples(draw) -> list[Sample]:
     """Three samples of one size whose rows repeat a few distinct points."""

@@ -145,6 +145,26 @@ def test_zero_matrix_rejected():
         diffusion_maps(dm, d=2)
 
 
+def test_one_dataset_is_too_few_to_embed():
+    # its one distance is the zero diagonal; the error is about the count
+    dm = DatasetDistanceMatrix(np.zeros((1, 1)), ("a",))
+    for d in (None, 1):
+        with pytest.raises(ValueError, match="^need at least 2 datasets to embed, got 1$"):
+            diffusion_maps(dm, d=d)
+
+
+def test_distances_of_any_finite_magnitude_embed():
+    # squared, distances of 1e200 overflow; the kernel sees them at unit scale
+    dm = random_distance_matrix(np.random.default_rng(347), 6)
+    base = diffusion_maps(dm, d=3)
+    for scale in (2.0**700, 2.0**-700):
+        emb = diffusion_maps(DatasetDistanceMatrix(dm.entries * scale, dm.labels), d=3)
+        assert np.array_equal(emb.coordinates, base.coordinates)
+    for scale in (1e200, 1e-200):
+        emb = diffusion_maps(DatasetDistanceMatrix(dm.entries * scale, dm.labels), d=3)
+        np.testing.assert_allclose(emb.coordinates, base.coordinates, rtol=0.0, atol=1e-12)
+
+
 def test_eigenvalue_invariants_on_random_inputs():
     rng = np.random.default_rng(317)
     for n in (5, 8, 12):
@@ -184,6 +204,18 @@ def test_embedding_validation():
         Embedding(np.zeros((2, 2)), np.array([0.2, 0.1]), ("a", "b"))
     with pytest.raises(ValueError, match="labels"):
         Embedding(np.zeros((3, 1)), np.array([0.2]), ("a",))
+
+
+def test_a_repeated_label_is_refused_by_name(tmp_path):
+    # the label rule of distance matrices, so no embedding file has two rows
+    # of one label
+    repeated = "^dataset labels must be unique; 'a' is used more than once$"
+    with pytest.raises(ValueError, match=repeated):
+        Embedding(np.zeros((3, 1)), np.array([0.2]), ("a", "b", "a"))
+    p = tmp_path / "e.csv"
+    p.write_text("label,coord_1\na,1\nb,2\na,3\n")
+    with pytest.raises(ValueError, match=repeated):
+        read_embedding_csv(p)
 
 
 def test_export_round_trip(tmp_path):

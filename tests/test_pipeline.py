@@ -304,8 +304,9 @@ class TestRunPipeline:
 
     def test_duplicate_labels_rejected(self):
         datasets = torus_datasets([1, 2])
+        repeated = "^dataset labels must be unique; 'same' is used more than once$"
         for entry in (run_pipeline, graph_spectral_distances):
-            with pytest.raises(ValueError, match="^dataset labels must be unique$"):
+            with pytest.raises(ValueError, match=repeated):
                 entry(datasets, PipelineConfig(), labels=["same", "same"])
             with pytest.raises(ValueError, match="^need 2 labels, got 3$"):
                 entry(datasets, PipelineConfig(), labels=["a", "b", "c"])
@@ -325,6 +326,20 @@ class TestRunPipeline:
         for entry in (run_pipeline, graph_spectral_distances):
             with pytest.raises(ValueError, match="^need at least 2 datasets, got 1$"):
                 entry(torus_datasets([1]), PipelineConfig())
+
+    @pytest.mark.parametrize("power", [520, -520])
+    def test_a_dataset_scaled_by_a_power_of_two_writes_the_unscaled_bytes(self, tmp_path, power):
+        # squared distances overflow beyond 2**511 and turn subnormal below
+        # 2**-511; each kernel sees its sample scaled to unit size instead
+        spec = TorusSpec(m=3, n_samples=5, n_observations=12, seed=1)
+        datasets = [generate_torus_dataset(dataclasses.replace(spec, seed=s)) for s in (1, 2)]
+        scaled = [
+            Dataset(tuple(Sample(np.ldexp(s.observations, power)) for s in d.samples), d.metadata)
+            for d in datasets
+        ]
+        run_pipeline(datasets, PipelineConfig(), out_dir=tmp_path / "base")
+        run_pipeline(scaled, PipelineConfig(), out_dir=tmp_path / "scaled")
+        assert tree_bytes(tmp_path / "scaled") == tree_bytes(tmp_path / "base")
 
     def test_far_outliers_do_not_stop_the_run(self):
         # one observation per sample so far away that its Gaussian affinity
@@ -773,4 +788,24 @@ class TestCli:
             "distance", tmp_path / "a" / "pd.csv", tmp_path / "b" / "pd.csv",
             "--out", tmp_path / "dist.csv",
         ) == 2
-        assert "unique" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: dataset labels must be unique; 'pd' is used more than once\n"
+        )
+
+    def test_duplicate_dataset_directory_names_rejected(self, tmp_path, capsys):
+        # the command leaves the label rule to the library: its one message, exit 2
+        for d in ("x", "y"):
+            self.run(
+                "generate-sim", "--m", 3, "--n-samples", 4, "--n-observations", 12,
+                "--seed", 1, "--out", tmp_path / d / "ds",
+            )
+        capsys.readouterr()
+        for flags in ([], ["--graph-spectral"]):
+            assert self.run(
+                "pipeline", tmp_path / "x" / "ds", tmp_path / "y" / "ds",
+                "--out", tmp_path / "run", *flags,
+            ) == 2
+            assert capsys.readouterr().err == (
+                "error: dataset labels must be unique; 'ds' is used more than once\n"
+            )
+        assert not (tmp_path / "run").exists()

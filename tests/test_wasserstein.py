@@ -208,14 +208,33 @@ def test_each_solve_is_one_square_of_the_larger_size(monkeypatch):
     assert shapes == [(5, 5), (5, 5), (5, 5), (2, 2), (5, 5)]
 
 
+REPEATED = "dataset labels must be unique; '{}' is used more than once"
+
+
 def test_distance_matrix_checks_labels_before_solving(monkeypatch):
     def refuse(cost):
         raise AssertionError("solved before the labels were checked")
 
     monkeypatch.setattr(WASSERSTEIN_MODULE, "linear_sum_assignment", refuse)
     dgs = [diagram([(0.0, 1.0)]), diagram([(0.5, 2.0)]), diagram([(0.2, 0.4)])]
-    with pytest.raises(ValueError, match="^3 rows but 2 labels$"):
+    with pytest.raises(ValueError, match="^need 3 labels, got 2$"):
         distance_matrix(dgs, SPEC2, labels=["a", "b"])
+    with pytest.raises(ValueError, match=f"^{REPEATED.format('b')}$"):
+        distance_matrix(dgs, SPEC2, labels=["b", "a", "b"])
+
+
+def test_a_repeated_label_is_refused_by_name(tmp_path):
+    # one rule for every labelled result: labels compare as strings, and the
+    # error names the first label that comes again
+    entries = np.ones((4, 4)) - np.eye(4)
+    with pytest.raises(ValueError, match=f"^{REPEATED.format('b')}$"):
+        DatasetDistanceMatrix(entries, ("a", "b", "b", "a"))
+    with pytest.raises(ValueError, match=f"^{REPEATED.format('1')}$"):
+        DatasetDistanceMatrix(entries[:2, :2], (1, "1"))
+    p = tmp_path / "d.csv"
+    p.write_text(",a,a\na,0,1\na,1,0\n")
+    with pytest.raises(ValueError, match=f"^{REPEATED.format('a')}$"):
+        read_distance_csv(p)
 
 
 def test_exhaustive_equivalence_six_points():
