@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topodist.dataset import _readonly
+from topodist.dataset import _integer, _readonly
 from topodist.diffusion import _EPS, _ZERO, DiffusionOperator
 
 __all__ = [
@@ -53,6 +53,15 @@ def _check_symmetric(entries: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric within 1e-12 (off by {gap:.3e})")
 
 
+def _tag(ids: tuple[int, ...], what: str, size: int) -> tuple[int, ...]:
+    """``ids`` in their order, checked to be ``size`` distinct vertex ids,
+    each a Python or NumPy integer (:func:`~topodist.dataset._integer`)."""
+    tag = tuple(_integer(v, "vertex id") for v in ids)
+    if len(set(tag)) != size or len(tag) != size:
+        raise ValueError(f"{what} must be {size} distinct vertex ids, got {ids}")
+    return tag
+
+
 @dataclass(frozen=True)
 class PairOperator:
     """Alternating-diffusion operator of two samples, tagged by vertex pair."""
@@ -63,11 +72,8 @@ class PairOperator:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         _check_symmetric(entries, "pair operator")
-        pair = tuple(int(v) for v in self.pair)
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise ValueError(f"pair must be two distinct vertex ids, got {self.pair}")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "pair", tuple(sorted(pair)))
+        object.__setattr__(self, "pair", tuple(sorted(_tag(self.pair, "pair", 2))))
 
 
 @dataclass(frozen=True)
@@ -80,11 +86,8 @@ class TripleOperator:
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         _check_symmetric(entries, "triple operator")
-        triple = tuple(int(v) for v in self.triple)
-        if len(triple) != 3 or len(set(triple)) != 3:
-            raise ValueError(f"triple must be three distinct vertex ids, got {self.triple}")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "triple", tuple(sorted(triple)))
+        object.__setattr__(self, "triple", tuple(sorted(_tag(self.triple, "triple", 3))))
 
 
 def pair_operator(
@@ -117,7 +120,7 @@ def triple_operator(
     sizes = {k1.size, k2.size, k3.size, s12.entries.shape[0], s23.entries.shape[0], s13.entries.shape[0]}
     if len(sizes) != 1:
         raise ValueError(f"inconsistent operator sizes: {sorted(sizes)}")
-    i1, i2, i3 = (int(v) for v in triple)
+    i1, i2, i3 = _tag(triple, "triple", 3)
     faces = (tuple(sorted((i1, i2))), tuple(sorted((i2, i3))), tuple(sorted((i1, i3))))
     for s, face in zip((s12, s23, s13), faces):
         if s.pair != face:

@@ -80,11 +80,12 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    """Pipeline config: a JSON file plus flag overrides (flags win)."""
+    """Pipeline config: a JSON file plus flag overrides (flags win).  The
+    metric flags are added only where diagrams are compared, since a
+    complex does not depend on them."""
     p.add_argument("--config", help="JSON file with pipeline settings")
     p.add_argument("--epsilon-factor", type=float, dest="kernel_epsilon_factor")
     p.add_argument("--skeleton", choices=_SKELETONS)
-    _add_metric_args(p)
     p.add_argument(
         "--normalize", action=argparse.BooleanOptionalAction, default=None,
         help="divide weights by the median of the monotone weights before filtering",
@@ -233,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="baseline: compare edge-weight spectra instead of diagrams",
     )
     _add_config_args(p)
+    _add_metric_args(p)
     p.set_defaults(handler=_cmd_pipeline)
 
     p = sub.add_parser(

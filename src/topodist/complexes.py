@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from topodist.dataset import _integer, _readonly
+from topodist.dataset import _integer, _integers, _readonly
 from topodist.diffusion import (
     _ZERO,
     DiffusionOperator,
@@ -54,12 +54,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Simplex:
-    """A vertex, edge, or triangle given by strictly increasing vertex ids."""
+    """A vertex, edge, or triangle given by strictly increasing vertex ids,
+    Python or NumPy integers: a bool, float or string id is refused, not cast."""
 
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        v = tuple(int(x) for x in self.vertices)
+        v = tuple(_integer(x, "vertex id") for x in self.vertices)
         if not 1 <= len(v) <= 3:
             raise ValueError(f"simplex must have 1 to 3 vertices, got {len(v)}")
         if any(a >= b for a, b in zip(v, v[1:])):
@@ -100,12 +101,13 @@ class Skeleton(Sequence[Simplex]):
     :class:`Simplex` objects, built on first access.
 
     Construction validates the vertex table and resolves facets once.  The
-    table holds integers (Python or NumPy, not bool or float, which would
-    be cast to ids) in N rows of 3, or is empty.  Ids are replaced by their
-    ranks (the padding -1 ranks 0), so each row encodes as one int64 in
-    base (max rank + 1), for up to 2**21 - 1 distinct ids, and facets are
-    found by binary search in the sorted codes.  Another table, a malformed
-    row, a duplicate or a missing facet raises ``ValueError``.
+    table is an integer array, or a nested sequence of Python or NumPy
+    integers (a bool, float or string entry is refused, not cast), in N
+    rows of 3, or is empty.  Ids are replaced by their ranks (the padding
+    -1 ranks 0), so each row encodes as one int64 in base (max rank + 1),
+    for up to 2**21 - 1 distinct ids, and facets are found by binary
+    search in the sorted codes.  Another table, a malformed row, a
+    duplicate or a missing facet raises ``ValueError``.
 
     What depends on the rows alone is computed once, on first use, and
     shared by every complex over the skeleton: the tie order
@@ -120,14 +122,10 @@ class Skeleton(Sequence[Simplex]):
     """
 
     def __init__(self, vertices: np.ndarray | Sequence[Sequence[int]]) -> None:
-        v = np.asarray(vertices)
-        if not v.size:
-            v = np.empty((0, 3), dtype=np.intp)  # an empty list has no dtype to check
-        elif v.dtype.kind not in "iu":
-            raise ValueError(f"vertex ids must be integers, got a {v.dtype} table")
-        elif v.ndim != 2 or v.shape[1] != 3:
+        v = _integers(vertices, "vertex id")
+        if v.size and (v.ndim != 2 or v.shape[1] != 3):
             raise ValueError(f"vertex table must be N x 3, got shape {v.shape}")
-        v = np.array(v, dtype=np.intp)
+        v = v.reshape(-1, 3)  # an empty table of any shape has no rows
         bad = np.flatnonzero(
             (v[:, 0] < 0) | ((v[:, 1] < 0) & (v[:, 2] != -1))
             | ((v[:, 1:] <= v[:, :-1]) & (v[:, 1:] != -1)).any(axis=1)
@@ -670,7 +668,8 @@ def read_complex_csv(path: str | Path) -> WeightedComplex:
 
     The rows are checked and parsed column by column.  The error for a
     malformed row names the first one whose cells are misplaced, or
-    failing that the first whose id or weight does not parse.
+    failing that the first whose id or weight does not parse, or failing
+    that the first with a negative id or a weight that is not finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -706,4 +705,7 @@ def read_complex_csv(path: str | Path) -> WeightedComplex:
             except ValueError:
                 raise ValueError(f"malformed complex CSV row: {row}") from None
         raise
+    bad = np.flatnonzero((used & (table < 0)).any(axis=1) | ~np.isfinite(weights))
+    if bad.size:
+        raise ValueError(f"malformed complex CSV row: {rows[bad[0]]}")
     return WeightedComplex(Skeleton(table), weights)

@@ -55,6 +55,20 @@ def _integer(value: Any, name: str) -> int:
     return operator.index(value)
 
 
+def _integers(values: Any, name: str) -> np.ndarray:
+    """``values``, an array or a nested sequence, as an ``intp`` array of
+    the same shape, or the ``ValueError`` of :func:`_integer` for its first
+    refused entry.  An integer-dtype array is taken as it is; anything else
+    is checked by the types of its entries, so no bool, float or string is
+    cast to an id."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.asarray(values, dtype=object)
+        if not all(map(_is_integer, set(map(type, values.flat)))):
+            for value in values.flat:
+                _integer(value, name)
+    return np.array(values, dtype=np.intp)
+
+
 def _real(value: Any, name: str) -> float:
     """``value`` unchanged if it is a Python int or float, a NumPy float64
     included, or a ``ValueError`` that names it: a bool, a string or a
@@ -278,7 +292,7 @@ def patch_cube(cube: np.ndarray, patch_size: int) -> tuple[Dataset, GridShape]:
         "patch_size": patch_size,
         "grid_rows": grid.rows,
         "grid_cols": grid.cols,
-        "cube_shape": [int(rows), int(cols), int(bands)],
+        "cube_shape": list(cube.shape),
     }
     return Dataset(tuple(samples), metadata), grid
 

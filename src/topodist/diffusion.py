@@ -200,15 +200,13 @@ def _two_step(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every row is summed along the contiguous last axis and every entry
     divided on its own, so a matrix gets the same bits alone or stacked.
     ``K`` is not checked here: its float row sums land within ~1e-15 of 1,
-    and the callers check the 1e-12 bound.
+    and the callers check the 1e-12 bound.  Every caller passes unit
+    diagonals and entries in [0, 1], so ``q >= 1`` and
+    ``q~_i >= 1 / q_i^2 > 0``: no row sum is checked either.
     """
     q = mat.sum(axis=-1)
-    if (q <= 0.0).any():
-        raise ValueError("affinity matrix has a nonpositive row sum")
     w_tilde = mat / (q[..., :, np.newaxis] * q[..., np.newaxis, :])
     q_tilde = w_tilde.sum(axis=-1)
-    if (q_tilde <= 0.0).any():
-        raise ValueError("density-normalized matrix has a nonpositive row sum")
     return w_tilde / q_tilde[..., np.newaxis], w_tilde, q_tilde
 
 

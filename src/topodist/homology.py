@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from topodist.complexes import WeightedComplex, _filtration_order
-from topodist.dataset import _is_integer
+from topodist.dataset import _integer, _integers
 
 __all__ = [
     "PersistencePair",
@@ -49,7 +48,9 @@ _DEGREES = (0, 1)  # the complexes stop at triangles
 
 
 def _degree(degree: int) -> int:
-    """``degree``, checked to be one of the supported homology degrees."""
+    """``degree`` as a Python int by :func:`~topodist.dataset._integer`,
+    checked to be one of the supported homology degrees."""
+    degree = _integer(degree, "degree")
     if degree not in _DEGREES:
         raise ValueError(f"degree must be 0 or 1, got {degree}")
     return degree
@@ -102,7 +103,7 @@ class PersistencePair:
     death_simplex: int | None = None
 
     def __post_init__(self) -> None:
-        _degree(self.degree)
+        object.__setattr__(self, "degree", _degree(self.degree))
         if not math.isfinite(self.birth):
             raise ValueError(f"birth must be finite, got {self.birth}")
         if not self.birth <= self.death:
@@ -128,7 +129,7 @@ class PersistenceDiagram:
     pairs: tuple[PersistencePair, ...]
 
     def __post_init__(self) -> None:
-        _degree(self.degree)
+        object.__setattr__(self, "degree", _degree(self.degree))
         pairs = tuple(sorted(self.pairs, key=_pair_key))
         for p in pairs:
             if p.degree != self.degree:
@@ -156,14 +157,9 @@ def boundary_matrix(cx: WeightedComplex, order: Sequence[int]) -> BoundaryMatrix
     """The boundary of ``cx`` in the filtration ``order``, a permutation of
     its simplex ids that puts every face before its cofaces.
 
-    ``order`` holds Python or NumPy integers; a bool or a float is
-    rejected, not truncated."""
-    order = tuple(order)
-    bad = {t for t in set(map(type, order)) if not _is_integer(t)}
-    if bad:
-        first = next(x for x in order if type(x) in bad)
-        raise ValueError(f"order must hold integer simplex ids, got {first!r}")
-    ids = np.array(list(map(operator.index, order)), dtype=np.intp)
+    ``order`` is an integer array or a sequence of Python or NumPy
+    integers; a bool, float or string is rejected, not truncated."""
+    ids = _integers(order, "simplex id")
     n = len(cx.dims)
     if len(ids) != n or not np.array_equal(np.sort(ids), np.arange(n)):
         raise ValueError("order must be a permutation of all simplex ids")
@@ -340,7 +336,7 @@ def read_diagrams_csv(
     diagrams when the file has no such rows.  Simplex ids are not stored on
     disk; loaded pairs carry placeholder ids.
     """
-    by_degree: dict[int, list[PersistencePair]] = {k: [] for k in degrees}
+    by_degree: dict[int, list[PersistencePair]] = {_degree(k): [] for k in degrees}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

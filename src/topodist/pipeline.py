@@ -192,10 +192,9 @@ def _median_normalized(cx: WeightedComplex) -> WeightedComplex:
     positive = cx.weights[cx.dims > 0]
     if not positive.size:
         raise ValueError("no positive-dimension weight to normalize by (no edge or triangle)")
-    med = float(np.median(positive))
-    if med <= 0.0:
-        raise ValueError("median weight is not positive; cannot normalize")
-    return WeightedComplex(cx.simplexes, cx.weights / med)
+    # the median is positive, as every weight here is: an inverse norm or
+    # correlation, or a facet's weight copied by repair
+    return WeightedComplex(cx.simplexes, cx.weights / float(np.median(positive)))
 
 
 def cross_correlation_complex(

@@ -29,7 +29,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topodist.dataset import _integer, _readonly, _real
+from topodist.dataset import _readonly, _real
 from topodist.homology import PersistenceDiagram, _degree
 
 __all__ = [
@@ -62,7 +62,7 @@ class DiagramDistanceSpec:
     def __post_init__(self) -> None:
         if not 1.0 <= _real(self.p, "p") < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
-        object.__setattr__(self, "degree", _degree(_integer(self.degree, "degree")))
+        object.__setattr__(self, "degree", _degree(self.degree))
         if self.infinite_policy not in get_args(InfinitePolicy):
             raise ValueError(f"unknown infinite policy {self.infinite_policy!r}")
         if self.cap_value is not None:

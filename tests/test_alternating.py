@@ -1,5 +1,7 @@
 """Tests for pair/triple alternating-diffusion operators and their weights."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ def test_pair_operator_validation():
     assert PairOperator(np.zeros((2, 2)), (5, 2)).pair == (2, 5)
 
 
+@pytest.mark.parametrize("pair, named", [((0, 1.5), "1.5"), ((True, 2), "True"), (("0", 1), "'0'")])
+def test_pair_tag_refuses_ids_that_are_not_integers(pair, named):
+    # pair=(0, 1.5) used to tag the operator (0, 1)
+    message = f"^vertex id must be an integer, got {re.escape(named)}$"
+    with pytest.raises(ValueError, match=message):
+        pair_operator(identity_operator(3), identity_operator(3), pair=pair)
+    with pytest.raises(ValueError, match=message):
+        PairOperator(np.zeros((2, 2)), pair)
+
+
+def test_tags_take_numpy_integers_as_python_ints():
+    ks = [identity_operator(2) for _ in range(3)]
+    s = pair_operator(ks[0], ks[1], pair=(np.int64(4), np.int32(1)))
+    assert s.pair == (1, 4) and {type(v) for v in s.pair} == {int}
+    t = triple_operator(*ks, *_faces(*ks), triple=(np.int64(0), 1, np.int32(2)))
+    assert t.triple == (0, 1, 2) and {type(v) for v in t.triple} == {int}
+
+
 # ---------------------------------------------------------------------------
 # triple operator
 
@@ -174,6 +194,20 @@ def test_triple_operator_validation():
         TripleOperator(np.zeros((2, 2)), (0, 1, 1))
     with pytest.raises(ValueError, match="symmetric"):
         TripleOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "triple, named",
+    [((0, 1, 2.5), "2.5"), ((0, True, 2), "True"), ((0, 1, np.float64(2)), "np.float64(2.0)")],
+)
+def test_triple_tag_refuses_ids_that_are_not_integers(triple, named):
+    # triple=(0, 1, 2.5) used to tag the operator (0, 1, 2)
+    ks = [identity_operator(2) for _ in range(3)]
+    message = f"^vertex id must be an integer, got {re.escape(named)}$"
+    with pytest.raises(ValueError, match=message):
+        triple_operator(*ks, *_faces(*ks), triple=triple)
+    with pytest.raises(ValueError, match=message):
+        TripleOperator(np.zeros((2, 2)), triple)
 
 
 # ---------------------------------------------------------------------------

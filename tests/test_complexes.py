@@ -1109,8 +1109,8 @@ def test_skeleton_rejects_malformed_rows(row):
     [
         # truncating these would give the rows 0, 1 and (0, 1)
         ([[0.7, -1, -1], [1.2, -1, -1], [0.9, 1.9, -1]],
-         "vertex ids must be integers, got a float64 table"),
-        (np.array([[True, False, False]]), "vertex ids must be integers, got a bool table"),
+         "vertex id must be an integer, got 0.7"),
+        (np.array([[True, False, False]]), "vertex id must be an integer, got True"),
         ([0, -1, -1, 1, -1, -1, 0, 1, -1], r"vertex table must be N x 3, got shape \(9,\)"),
         ([[[0, -1, -1], [1, -1, -1]]], r"vertex table must be N x 3, got shape \(1, 2, 3\)"),
         ([[0, -1], [1, -1]], r"vertex table must be N x 3, got shape \(2, 2\)"),
@@ -1119,6 +1119,38 @@ def test_skeleton_rejects_malformed_rows(row):
 def test_skeleton_takes_only_an_integer_n_by_3_table(table, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Skeleton(table)
+
+
+@pytest.mark.parametrize(
+    "table, named",
+    [
+        # NumPy reads these lists as int64 tables, so a dtype check passes them
+        ([[0, -1, -1], [True, -1, -1]], "True"),
+        ([[0, -1, -1], [1, -1, -1], [0, np.True_, -1]], "np.True_"),
+    ],
+)
+def test_skeleton_refuses_a_bool_in_an_integer_list_table(table, named):
+    # [[0, -1, -1], [True, -1, -1]] used to build vertex 1
+    with pytest.raises(ValueError, match=f"^vertex id must be an integer, got {re.escape(named)}$"):
+        Skeleton(table)
+
+
+@pytest.mark.parametrize(
+    "vertices, named",
+    [
+        ((0, 1.7), "1.7"), ((True, 2), "True"), (("1", 2), "'1'"),
+        ((0, 1, np.float64(2)), "np.float64(2.0)"),
+    ],
+)
+def test_simplex_refuses_ids_that_are_not_integers(vertices, named):
+    # Simplex((0, 1.7)) used to hold the edge (0, 1)
+    with pytest.raises(ValueError, match=f"^vertex id must be an integer, got {re.escape(named)}$"):
+        Simplex(vertices)
+
+
+def test_simplex_takes_numpy_integer_ids_as_python_ints():
+    v = Simplex((np.int64(0), np.int32(2))).vertices
+    assert v == (0, 2) and {type(x) for x in v} == {int}
 
 
 def test_skeleton_takes_python_and_numpy_integers_and_the_empty_table():
@@ -1223,6 +1255,26 @@ def test_complex_csv_names_the_row_that_does_not_parse(tmp_path, row):
     p = tmp_path / "bad.csv"
     p.write_text(f"dim,v0,v1,v2,weight\n0,0,,,0.0\n0,1,,,0.0\n{row}\n2,0,1,2,x\n")
     message = re.escape(f"malformed complex CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_complex_csv(p)
+
+
+@pytest.mark.parametrize("row", ["1,0,-1,,0.5", "1,-3,1,,0.5", "2,0,1,-2,0.5"])
+def test_complex_csv_names_a_row_with_a_negative_id(tmp_path, row):
+    # 1,0,-1,,0.5 used to read as the vertex 0 and fail as "duplicate simplexes"
+    p = tmp_path / "bad.csv"
+    p.write_text(f"dim,v0,v1,v2,weight\n0,0,,,0.0\n0,1,,,0.0\n1,0,1,,0.5\n{row}\n")
+    message = re.escape(f"malformed complex CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_complex_csv(p)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_complex_csv_names_a_row_whose_weight_is_not_finite(tmp_path, weight):
+    # such a row used to fail as "weights must be finite", naming no row
+    p = tmp_path / "bad.csv"
+    p.write_text(f"dim,v0,v1,v2,weight\n0,0,,,0.0\n0,1,,,0.0\n1,0,1,,{weight}\n")
+    message = re.escape(f"malformed complex CSV row: {['1', '0', '1', '', weight]}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         read_complex_csv(p)
 

@@ -190,7 +190,7 @@ def test_boundary_rejects_an_order_with_a_face_after_a_coface(order):
 def test_boundary_rejects_positions_that_are_not_integers(order, named):
     # such ids used to be truncated: 1.9 read as 1 and True as 1
     cx = WeightedComplex(complete_skeleton(3), np.array([0.0] * 3 + [1.0] * 4))
-    message = f"^order must hold integer simplex ids, got {re.escape(named)}$"
+    message = f"^simplex id must be an integer, got {re.escape(named)}$"
     with pytest.raises(ValueError, match=message):
         boundary_matrix(cx, order)
 
@@ -465,6 +465,31 @@ def test_a_diagram_of_another_degree_is_rejected_even_when_empty(tmp_path, degre
     p.write_text("degree,birth,death\n0,0.0,inf\n")
     with pytest.raises(ValueError, match=message):
         read_diagrams_csv(p, degrees=(degree,))
+
+
+@pytest.mark.parametrize("degree", [1.0, True, np.float64(0), np.True_, "1"])
+def test_a_degree_that_is_not_an_integer_is_refused_by_name(tmp_path, degree):
+    # PersistencePair(1.0, ...) and PersistenceDiagram(True, ()) used to be
+    # taken, and read_diagrams_csv(degrees=(1.0,)) gave a diagram keyed 1.0
+    # whose rows were written 1.0,... and then refused as malformed
+    message = f"^degree must be an integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(ValueError, match=message):
+        PersistencePair(degree, 0.0, 1.0, 0, 1)
+    with pytest.raises(ValueError, match=message):
+        PersistenceDiagram(degree, ())
+    p = tmp_path / "d.csv"
+    p.write_text("degree,birth,death\n1,0.0,1.0\n")
+    with pytest.raises(ValueError, match=message):
+        read_diagrams_csv(p, degrees=(degree,))
+
+
+def test_a_numpy_integer_degree_is_held_as_a_python_int(tmp_path):
+    pair = PersistencePair(np.int64(1), 0.0, 1.0, 0, 1)
+    assert type(pair.degree) is int
+    assert type(PersistenceDiagram(np.int32(1), (pair,)).degree) is int
+    p = tmp_path / "d.csv"
+    p.write_text("degree,birth,death\n1,0.0,1.0\n")
+    assert [type(k) for k in read_diagrams_csv(p, degrees=(np.int64(1),))] == [int]
 
 
 @pytest.mark.parametrize("birth, death", [("-inf", "2.0"), ("nan", "2.0"), ("inf", "inf")])

@@ -302,6 +302,22 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=r"dataset 'dataset_0', stage weights"):
             run_pipeline(datasets, PipelineConfig(skeleton="grid"))
 
+    def test_a_grid_that_does_not_cover_the_patches_names_the_dataset(self):
+        # a 2 x 2 patch grid whose metadata claims 1 x 3
+        dataset, _ = patch_cube(np.random.default_rng(0).normal(size=(6, 6, 5)), 3)
+        bad = Dataset(dataset.samples, {**dataset.metadata, "grid_rows": 1, "grid_cols": 3})
+        message = r"^dataset 'dataset_0', stage weights: grid 1x3 does not match 4 samples$"
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline([bad, dataset], PipelineConfig(skeleton="grid"))
+
+    def test_a_cap_below_a_birth_stops_at_the_distance_stage(self, tmp_path):
+        # every degree-0 class is born at 0.0, so a cap of -1.0 cannot hold it
+        config = PipelineConfig(degree=0, infinite_policy="cap", cap_value=-1.0)
+        message = r"^stage distance: cap_value -1.0 is below a birth 0.0; cannot cap$"
+        with pytest.raises(PipelineError, match=message):
+            run_pipeline(torus_datasets([1, 2]), config, out_dir=tmp_path)
+        assert (tmp_path / "diagrams").is_dir() and not (tmp_path / "distances.csv").exists()
+
     def test_duplicate_labels_rejected(self):
         datasets = torus_datasets([1, 2])
         repeated = "^dataset labels must be unique; 'same' is used more than once$"
@@ -734,6 +750,51 @@ class TestCli:
             "--out", tmp_path / "grid.csv", "--skeleton", "grid",
         ) == 0
         assert (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--degree", 0], ["--p", 1], ["--infinite-policy", "cap"], ["--cap-value", 5]]
+    )
+    def test_build_complex_takes_no_metric_flag(self, tmp_path, capsys, flag):
+        # a complex does not depend on the diagram metric
+        with pytest.raises(SystemExit) as exited:
+            self.run("build-complex", "--dataset", tmp_path, "--out", tmp_path / "cx.csv", *flag)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(map(str, flag))}" in capsys.readouterr().err
+
+    def test_build_complex_loads_a_config_file_holding_metric_fields(self, tmp_path):
+        self.run(
+            "generate-sim", "--m", 3, "--n-samples", 4, "--n-observations", 12,
+            "--seed", 1, "--out", tmp_path / "ds",
+        )
+        config = {"degree": 0, "p": 1.0, "infinite_policy": "cap", "cap_value": 5.0}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert self.run(
+            "build-complex", "--dataset", tmp_path / "ds", "--out", tmp_path / "a.csv"
+        ) == 0
+        assert self.run(
+            "build-complex", "--dataset", tmp_path / "ds", "--out", tmp_path / "b.csv",
+            "--config", tmp_path / "config.json",
+        ) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_weight_profile_command_writes_the_library_profile(self, tmp_path):
+        assert self.run(
+            "weight-profile", "--m", 4, "--n-samples", 5, "--n-observations", 12,
+            "--seeds", 2, "--out", tmp_path / "wp.csv",
+        ) == 0
+        spec = TorusSpec(m=4, n_samples=5, n_observations=12)
+        write_weight_profile_csv(weight_profile(spec, 2), tmp_path / "lib.csv")
+        assert (tmp_path / "wp.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_dimension_sweep_command_writes_the_library_sweep(self, tmp_path):
+        assert self.run(
+            "dimension-sweep", "--m-values", 3, 4, "--per-m", 1, "--n-samples", 4,
+            "--n-observations", 12, "--seed", 3, "--out", tmp_path / "sweep",
+        ) == 0
+        template = TorusSpec(m=4, n_samples=4, n_observations=12, seed=3)
+        dimension_sweep([3, 4], 1, template, out_dir=tmp_path / "lib")
+        assert tree_bytes(tmp_path / "sweep") == tree_bytes(tmp_path / "lib")
+        assert (tmp_path / "sweep" / "distances.csv").read_text().startswith(",m3_r0,m4_r0")
 
     def test_config_file_with_flag_override(self, tmp_path):
         (tmp_path / "config.json").write_text('{"degree": 0, "p": 1.0}')
