@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Any, Sequence, get_args
@@ -261,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, PipelineError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ objects are built only when an element is read.
 
 from __future__ import annotations
 
-import csv
 import math
 from itertools import chain, compress, repeat
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from topodist.dataset import _integer, _integers, _readonly
+from topodist.dataset import _integer, _integers, _read_csv, _readonly
 from topodist.diffusion import (
     _ZERO,
     DiffusionOperator,
@@ -50,6 +49,8 @@ __all__ = [
     "write_complex_csv",
     "read_complex_csv",
 ]
+
+_COMPLEX_HEADER = ["dim", "v0", "v1", "v2", "weight"]
 
 
 @dataclass(frozen=True)
@@ -624,19 +625,15 @@ def enforce_monotone(cx: WeightedComplex) -> WeightedComplex:
     return WeightedComplex(cx.simplexes, _monotone(cx.simplexes, cx.weights))
 
 
-def filtration_order(cx: WeightedComplex) -> list[int]:
-    """Sublevel filtration order of a monotone complex.
+def filtration_order(cx: WeightedComplex) -> np.ndarray:
+    """Sublevel filtration order of a monotone complex, an ``intp`` array of
+    its simplex ids.
 
     Simplexes sorted by weight ascending, breaking ties by dimension then by
     vertex tuple, which guarantees every face precedes its cofaces.  The tie
     order depends on the skeleton alone, so its :class:`Skeleton` sorts it
     once, and each complex over that skeleton sorts its weights stably in it.
     """
-    return _filtration_order(cx).tolist()
-
-
-def _filtration_order(cx: WeightedComplex) -> np.ndarray:
-    """:func:`filtration_order` as an array."""
     if not cx.is_monotone():
         raise ValueError("complex weights are not monotone; run enforce_monotone first")
     tie = cx.simplexes._tie_order
@@ -659,28 +656,26 @@ def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
     texts = np.array([f"{w!r}\r\n" for w in cx.weights[first].tolist()], dtype=object)
     rows = np.column_stack((cx.simplexes._row_prefixes, texts[inverse]))
     with open(path, "w", newline="") as fh:
-        fh.write("dim,v0,v1,v2,weight\r\n")
+        fh.write(",".join(_COMPLEX_HEADER) + "\r\n")
         fh.write("".join(rows.ravel().tolist()))
 
 
 def read_complex_csv(path: str | Path) -> WeightedComplex:
     """Read a complex written by :func:`write_complex_csv` into its table.
 
-    The rows are checked and parsed column by column.  The error for a
-    malformed row names the first one whose cells are misplaced, or
-    failing that the first whose id or weight does not parse, or failing
-    that the first with a negative id or a weight that is not finite.
+    The file is read by :func:`~topodist.dataset._read_csv`, and its rows
+    are then checked and parsed column by column.  The error for a
+    malformed row names the first one not as wide as the header, or
+    failing that the first whose cells are misplaced, or failing that the
+    first whose id or weight does not parse or whose id does not fit in 64
+    bits, or failing that the first with a negative id or a weight that is
+    not finite.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["dim", "v0", "v1", "v2", "weight"]:
-            raise ValueError(f"unexpected complex CSV header: {header}")
-        rows = [row for row in reader if row]
+    header, rows = _read_csv(path, "complex")
+    if header != _COMPLEX_HEADER:
+        raise ValueError(f"unexpected complex CSV header: {header}")
     n = len(rows)
-    # a row of the wrong length reads as blanks, so it is malformed
-    cells = [r if len(r) == 5 else [""] * 5 for r in rows] if set(map(len, rows)) - {5} else rows
-    dim, *ids, weight = zip(*cells) if n else [()] * 5
+    dim, *ids, weight = zip(*rows) if n else [()] * 5
     dims = np.fromiter(map({"0": 0, "1": 1, "2": 2}.get, dim, [-1] * n), np.intp, n)
     used = np.arange(3) <= dims[:, None]
     filled = np.array([np.fromiter(map(bool, c), bool, n) for c in ids]).T
@@ -697,14 +692,14 @@ def read_complex_csv(path: str | Path) -> WeightedComplex:
             present = compress(column, used[:, j].tolist())
             table[used[:, j], j] = np.fromiter(map(int, present), np.intp)
         weights = np.fromiter(map(float, weight), np.float64, n)
-    except ValueError:
+    except (ValueError, OverflowError):
+        # the same conversions row by row, so one of them fails
         for row in rows:
             try:
-                [int(x) for x in row[1:4] if x]
+                _integers([int(x) for x in row[1:4] if x], "vertex id")
                 float(row[4])
             except ValueError:
                 raise ValueError(f"malformed complex CSV row: {row}") from None
-        raise
     bad = np.flatnonzero((used & (table < 0)).any(axis=1) | ~np.isfinite(weights))
     if bad.size:
         raise ValueError(f"malformed complex CSV row: {rows[bad[0]]}")

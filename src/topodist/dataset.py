@@ -14,12 +14,13 @@ band).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,13 +61,58 @@ def _integers(values: Any, name: str) -> np.ndarray:
     the same shape, or the ``ValueError`` of :func:`_integer` for its first
     refused entry.  An integer-dtype array is taken as it is; anything else
     is checked by the types of its entries, so no bool, float or string is
-    cast to an id."""
+    cast to an id.  An entry outside int64 is refused by name, not wrapped;
+    an integer array costs one dtype check (a ``uint64`` one also a
+    vectorized comparison), never a loop over its entries."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         values = np.asarray(values, dtype=object)
         if not all(map(_is_integer, set(map(type, values.flat)))):
             for value in values.flat:
                 _integer(value, name)
-    return np.array(values, dtype=np.intp)
+    elif values.dtype == np.uint64 and (values > np.iinfo(np.int64).max).any():
+        values = values.astype(object)  # as Python ints, which overflow below
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        value = next(v for v in map(operator.index, values.flat) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{name} must fit in 64 bits, got {value}") from None
+
+
+def _read_csv(path: str | Path, kind: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the nonblank rows of the ``kind`` CSV file ``path``.
+
+    The header is the first nonblank row (``[]`` in a file without one).
+    A ``ValueError`` names the file if :mod:`csv` cannot read it, and
+    otherwise the first row not as wide as the header."""
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"malformed {kind} CSV {path}: {exc}") from None
+    if set(map(len, rows)) - {len(header)}:
+        row = next(row for row in rows if len(row) != len(header))
+        raise ValueError(f"malformed {kind} CSV row: {row}")
+    return header, rows
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and then ``rows`` as :mod:`csv`'s writer does."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path: str | Path, kind: str) -> dict[str, Any]:
+    """The JSON object in the ``kind`` file ``path``, or a ``ValueError``
+    that names the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"malformed {kind} {path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{kind} {path} must be a JSON object")
+    return value
 
 
 def _real(value: Any, name: str) -> float:
@@ -329,12 +375,7 @@ def load_dataset(path: str | Path) -> Dataset:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"no manifest.json under {root}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {manifest_path} must be a JSON object")
+    manifest = _read_json(manifest_path, "manifest")
     for key in ("n_samples", "n_observations", "d_obs", "labels"):
         if key not in manifest:
             raise ValueError(f"manifest {manifest_path} is missing {key!r}")

@@ -21,7 +21,6 @@ Degrees 0 and 1 are supported (the complexes stop at triangles).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -30,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from topodist.complexes import WeightedComplex, _filtration_order
-from topodist.dataset import _integer, _integers
+from topodist.complexes import WeightedComplex, filtration_order
+from topodist.dataset import _integer, _integers, _read_csv, _write_csv
 
 __all__ = [
     "PersistencePair",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _DEGREES = (0, 1)  # the complexes stop at triangles
+_DIAGRAM_HEADER = ["degree", "birth", "death"]
 
 
 def _degree(degree: int) -> int:
@@ -310,7 +310,7 @@ def persistence_diagrams(cx: WeightedComplex) -> dict[int, PersistenceDiagram]:
     skeleton's cofacet index, which is built on first use and shared by
     every complex over that skeleton.
     """
-    reduction = reduce_matrix(_boundary(cx, _filtration_order(cx)))
+    reduction = reduce_matrix(_boundary(cx, filtration_order(cx)))
     return {k: extract_diagram(reduction, cx, k) for k in _DEGREES}
 
 
@@ -319,12 +319,8 @@ def write_diagrams_csv(
 ) -> None:
     """Write ``degree,birth,death`` rows, each value its ``repr``, in each
     diagram's stored order; an essential class's death is written ``inf``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "birth", "death"])
-        for dg in diagrams:
-            for birth, death in dg.points():
-                writer.writerow([dg.degree, repr(birth), repr(death)])
+    rows = ((dg.degree, repr(b), repr(d)) for dg in diagrams for b, d in dg.points())
+    _write_csv(path, _DIAGRAM_HEADER, rows)
 
 
 def read_diagrams_csv(
@@ -337,28 +333,20 @@ def read_diagrams_csv(
     disk; loaded pairs carry placeholder ids.
     """
     by_degree: dict[int, list[PersistencePair]] = {_degree(k): [] for k in degrees}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["degree", "birth", "death"]:
-            raise ValueError(f"unexpected diagram CSV header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"malformed diagram CSV row: {row}")
-            try:
-                degree = int(row[0])
-                birth = float(row[1])
-                death = float(row[2])
-            except ValueError:
-                raise ValueError(f"malformed diagram CSV row: {row}") from None
-            try:
-                pair = PersistencePair(
-                    degree, birth, death, birth_simplex=-1,
-                    death_simplex=None if math.isinf(death) else -1,
-                )
-            except ValueError as exc:
-                raise ValueError(f"malformed diagram CSV row: {row}: {exc}") from None
-            by_degree.setdefault(degree, []).append(pair)
+    header, rows = _read_csv(path, "diagram")
+    if header != _DIAGRAM_HEADER:
+        raise ValueError(f"unexpected diagram CSV header: {header}")
+    for row in rows:
+        try:
+            degree, birth, death = int(row[0]), float(row[1]), float(row[2])
+        except ValueError:
+            raise ValueError(f"malformed diagram CSV row: {row}") from None
+        try:
+            pair = PersistencePair(
+                degree, birth, death, birth_simplex=-1,
+                death_simplex=None if math.isinf(death) else -1,
+            )
+        except ValueError as exc:
+            raise ValueError(f"malformed diagram CSV row: {row}: {exc}") from None
+        by_degree.setdefault(degree, []).append(pair)
     return {k: PersistenceDiagram(k, tuple(v)) for k, v in by_degree.items()}

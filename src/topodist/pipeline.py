@@ -11,7 +11,6 @@ simpler weighting schemes used as baselines in tests.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -32,7 +31,9 @@ from topodist.complexes import (
     raw_weights,
     write_complex_csv,
 )
-from topodist.dataset import Dataset, TorusSpec, _integer, generate_torus_dataset
+from topodist.dataset import (
+    Dataset, TorusSpec, _integer, _read_json, _write_csv, generate_torus_dataset,
+)
 from topodist.diffusion import _affinity_stack, _centered_stack, _scale_factor
 from topodist.homology import (
     PersistenceDiagram,
@@ -120,9 +121,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
+        raw = _read_json(path, "config file")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -384,11 +383,8 @@ def weight_profile(
 def write_weight_profile_csv(
     rows: Sequence[tuple[str, int, float, float, int]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["simplex", "common_count", "mean_weight", "std_weight", "count"])
-        for kind, common, mean, std, count in rows:
-            writer.writerow([kind, common, repr(float(mean)), repr(float(std)), count])
+    header = ["simplex", "common_count", "mean_weight", "std_weight", "count"]
+    _write_csv(path, header, ((k, c, repr(float(m)), repr(float(s)), n) for k, c, m, s, n in rows))
 
 
 def dimension_sweep(

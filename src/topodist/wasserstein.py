@@ -20,7 +20,6 @@ Any bijection reads back as a partial matching of the same cost: a pair whose
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topodist.dataset import _readonly, _real
+from topodist.dataset import _read_csv, _readonly, _real, _write_csv
 from topodist.homology import PersistenceDiagram, _degree
 
 __all__ = [
@@ -233,29 +232,22 @@ def _write_table(
 ) -> None:
     """The table format of distances and embeddings: a header row, then per
     label a row of the label and its values to 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for label, row in zip(labels, rows):
-            writer.writerow([label, *(format(v, ".12g") for v in row)])
+    cells = ([label, *(format(v, ".12g") for v in row)] for label, row in zip(labels, rows))
+    _write_csv(path, header, cells)
 
 
 def _read_table(
     path: str | Path, kind: str, corner: str
 ) -> tuple[list[str], tuple[str, ...], np.ndarray]:
     """Header, row labels and values of a :func:`_write_table` file whose
-    header starts with ``corner``.  Every row holds one finite value per
-    header column after the first; an error names the ``kind`` CSV row
-    that does not."""
-    with open(path, newline="") as fh:
-        header, *rows = [r for r in csv.reader(fh) if r] or [[]]
+    header starts with ``corner``, read by
+    :func:`~topodist.dataset._read_csv`.  Every value is finite; an error
+    names the ``kind`` CSV row that is not."""
+    header, rows = _read_csv(path, kind)
     if header[:1] != [corner]:
         raise ValueError(f"{kind} CSV must start with a header whose corner is {corner!r}: {path}")
-    width = len(header) - 1
-    values = np.zeros((len(rows), width))
+    values = np.zeros((len(rows), len(header) - 1))
     for i, row in enumerate(rows):
-        if len(row) != width + 1:
-            raise ValueError(f"{kind} CSV row {row[0]!r} has {len(row) - 1} values, not {width}")
         try:
             values[i] = [float(v) for v in row[1:]]
         except ValueError:

@@ -223,7 +223,7 @@ def test_assign_weights_normalization_preserves_order():
     ops = [sample_diffusion_operator(s) for s in data.samples]
     raw = assign_weights(complete_skeleton(5), ops)
     norm = build_weighted_complex(data, PipelineConfig(normalize=True))
-    assert filtration_order(raw) == filtration_order(norm)
+    assert np.array_equal(filtration_order(raw), filtration_order(norm))
     pos = [i for i, s in enumerate(raw.simplexes) if s.dimension > 0]
     ratio = raw.weights[pos] / norm.weights[pos]
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
@@ -232,6 +232,12 @@ def test_assign_weights_normalization_preserves_order():
 def test_assign_weights_operator_count_mismatch():
     with pytest.raises(ValueError, match="one operator per vertex"):
         assign_weights(complete_skeleton(3), identity_ops(2))
+
+
+def test_raw_weights_refuses_operators_of_two_sizes():
+    ops = [*identity_ops(2, size=3), DiffusionOperator(np.eye(4))]
+    with pytest.raises(ValueError, match=r"^operators disagree on size: \[3, 4\]$"):
+        raw_weights(complete_skeleton(3), ops)
 
 
 def test_raw_weights_takes_the_operator_stack():
@@ -604,7 +610,7 @@ def test_is_monotone_is_the_largest_facet_weight_rule(cx):
 def test_filtration_order_matches_sorted_key(cx):
     cx = enforce_monotone(cx)
     key = lambda i: (cx.weights[i], cx.simplexes[i].dimension, cx.simplexes[i].vertices)
-    assert filtration_order(cx) == sorted(range(cx.n_simplexes), key=key)
+    assert filtration_order(cx).tolist() == sorted(range(cx.n_simplexes), key=key)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1114,6 +1120,10 @@ def test_skeleton_rejects_malformed_rows(row):
         ([0, -1, -1, 1, -1, -1, 0, 1, -1], r"vertex table must be N x 3, got shape \(9,\)"),
         ([[[0, -1, -1], [1, -1, -1]]], r"vertex table must be N x 3, got shape \(1, 2, 3\)"),
         ([[0, -1], [1, -1]], r"vertex table must be N x 3, got shape \(2, 2\)"),
+        # these used to raise OverflowError, and the uint64 table to build vertices 0 and 1
+        ([[2**70, -1, -1]], "vertex id must fit in 64 bits, got 1180591620717411303424"),
+        (np.array([[0, 2**64 - 1, 2**64 - 1], [1, 2**64 - 1, 2**64 - 1]], dtype=np.uint64),
+         "vertex id must fit in 64 bits, got 18446744073709551615"),
     ],
 )
 def test_skeleton_takes_only_an_integer_n_by_3_table(table, message):
@@ -1249,7 +1259,12 @@ def test_complex_csv_rejects_a_dim_outside_0_to_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["1,0,x,,0.5", "1,0,1,,heavy", "1,0,1,0.5", "2,0,1,2,0.5,7", "1,0,-,,0.5"]
+    "row",
+    [
+        "1,0,x,,0.5", "1,0,1,,heavy", "1,0,1,0.5", "2,0,1,2,0.5,7", "1,0,-,,0.5",
+        # an id beyond int64 used to escape as an OverflowError
+        "0,99999999999999999999,,,0.0", "1,0,-99999999999999999999,,0.5",
+    ],
 )
 def test_complex_csv_names_the_row_that_does_not_parse(tmp_path, row):
     p = tmp_path / "bad.csv"

@@ -99,6 +99,10 @@ def test_torus_spec_validation():
         TorusSpec(m=3, n_samples=4, n_observations=10, sigma=-0.1)
     with pytest.raises(ValueError, match="m must be"):
         TorusSpec(m=0, n_samples=4, n_observations=10, tuple_size=0)
+    with pytest.raises(ValueError, match="^n_samples must be >= 2, got 1$"):
+        TorusSpec(m=3, n_samples=1, n_observations=10)
+    with pytest.raises(ValueError, match="^n_observations must be >= 2, got 1$"):
+        TorusSpec(m=3, n_samples=4, n_observations=1)
 
 
 @pytest.mark.parametrize(
@@ -262,6 +266,8 @@ def test_patch_cube_errors():
         patch_cube(np.zeros((10, 10, 1)), 5)
     with pytest.raises(ValueError, match="3 axes"):
         patch_cube(np.zeros((10, 10)), 5)
+    with pytest.raises(ValueError, match="^patch_size must be >= 1, got 0$"):
+        patch_cube(np.zeros((10, 10, 3)), 0)
 
 
 @pytest.mark.parametrize("size", [2.5, 2.0, True, np.float64(2)])
@@ -334,6 +340,8 @@ def test_load_rejects_missing_or_bad_manifest(tmp_path: Path):
         ("labels", "abc", "manifest labels must be a JSON array, got 'abc'"),
         ("metadata", [1, 2], "manifest metadata must be a JSON object, got [1, 2]"),
         (None, 7, "must be a JSON object"),
+        ("d_obs", [6, 6], "manifest declares 3 samples but lists 2 dims / 3 labels"),
+        ("labels", ["a", "b", "c", "d"], "manifest declares 3 samples but lists 3 dims / 4 labels"),
     ],
 )
 def test_load_checks_the_manifest_by_name(tmp_path: Path, key, value, message):

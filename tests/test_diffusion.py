@@ -274,6 +274,8 @@ def test_operator_type_validation():
         DiffusionOperator(np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="sum to 1"):
         DiffusionOperator(np.array([[0.6, 0.6], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match=r"^operator must be square, got shape \(2, 3\)$"):
+        DiffusionOperator(np.full((2, 3), 1.0 / 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,13 @@ def test_embedding_validation():
         Embedding(np.zeros((2, 2)), np.array([0.2, 0.1]), ("a", "b"))
     with pytest.raises(ValueError, match="labels"):
         Embedding(np.zeros((3, 1)), np.array([0.2]), ("a",))
+    with pytest.raises(ValueError, match=r"^coordinates must be 2-d, got shape \(3,\)$"):
+        Embedding(np.zeros(3), np.array([0.2]), ("a", "b", "c"))
+    with pytest.raises(ValueError, match=r"^2 coordinate columns but \(1,\) eigenvalues$"):
+        Embedding(np.zeros((3, 2)), np.array([0.2]), ("a", "b", "c"))
+    for coords, lam in (([[0.0], [np.nan], [0.0]], [0.2]), ([[0.0], [1.0], [0.0]], [np.inf])):
+        with pytest.raises(ValueError, match="^embedding contains non-finite values$"):
+            Embedding(np.array(coords), np.array(lam), ("a", "b", "c"))
 
 
 def test_a_repeated_label_is_refused_by_name(tmp_path):

@@ -199,10 +199,10 @@ def test_boundary_takes_numpy_integer_positions():
     cx = filled_triangle()
     order = filtration_order(cx)
     expected = boundary_matrix(cx, order)
-    for ids in (np.array(order), np.array(order, dtype=np.int32), list(map(np.uint8, order))):
+    for ids in (order.tolist(), np.array(order, dtype=np.int32), list(map(np.uint8, order))):
         m = boundary_matrix(cx, ids)
         assert matrix_columns(m) == matrix_columns(expected)
-        assert m.order.dtype == np.intp and m.order.tolist() == order
+        assert m.order.dtype == np.intp and m.order.tolist() == order.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ import topodist.cli as cli
 import topodist.pipeline as pipeline
 from reference_complexes import weight_of
 from topodist.cli import main
-from topodist.dataset import Dataset, Sample, TorusSpec, generate_torus_dataset, patch_cube
+from topodist.dataset import (
+    Dataset, Sample, TorusSpec, generate_torus_dataset, load_dataset, patch_cube,
+)
 from topodist.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -49,7 +51,14 @@ from topodist.complexes import (
 )
 from topodist.diffusion import DiffusionOperator
 from topodist.homology import persistence_diagrams, read_diagrams_csv, write_diagrams_csv
-from topodist.wasserstein import DiagramDistanceSpec, distance_matrix, wasserstein
+from topodist.embedding import read_embedding_csv
+from topodist.wasserstein import (
+    DiagramDistanceSpec,
+    distance_matrix,
+    read_distance_csv,
+    wasserstein,
+    write_distance_csv,
+)
 
 
 SPEC = TorusSpec(
@@ -662,6 +671,60 @@ class TestDimensionSweep:
             dimension_sweep([3, 6], per_m, SPEC)
 
 
+# ---------------------------------------------------------------------------
+# saved files: one reading rule for complexes, diagrams, distances and embeddings
+
+# per kind: the reader, a header, its rows, a row one cell too short or too
+# long, and the result as plain values
+SAVED_FILES = {
+    "complex": (
+        read_complex_csv, "dim,v0,v1,v2,weight", ["0,0,,,0.0", "0,1,,,0.0", "1,0,1,,0.5"],
+        "1,0,1,0.5", lambda cx: ([s.vertices for s in cx.simplexes], cx.weights.tolist()),
+    ),
+    "diagram": (
+        read_diagrams_csv, "degree,birth,death", ["0,0.0,inf", "1,0.5,1.0"],
+        "1,0.5", lambda dgs: {k: dg.points() for k, dg in dgs.items()},
+    ),
+    "distance": (
+        read_distance_csv, ",a,b", ["a,0,1", "b,1,0"],
+        "b,1,0,0", lambda m: (m.labels, m.entries.tolist()),
+    ),
+    "embedding": (
+        read_embedding_csv, "label,coord_1", ["a,0.5", "b,-0.5"],
+        "b", lambda e: (e[0], e[1].tolist()),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SAVED_FILES)
+def test_each_reader_skips_blank_rows_and_names_a_ragged_row(tmp_path, kind):
+    read, header, rows, ragged, plain = SAVED_FILES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, *rows, ""]))
+    expected = plain(read(path))
+    path.write_text("\n".join(["", header, "", *rows, "", "", ""]))
+    assert plain(read(path)) == expected
+    path.write_text("\n".join([header, rows[0], ragged, *rows[1:], ""]))
+    message = re.escape(f"malformed {kind} CSV row: {ragged.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", SAVED_FILES)
+@pytest.mark.parametrize(
+    "fault, reason",
+    [(b"x" * 131_073, "field larger than field limit"), (b"\xff", "'utf-8' codec can't decode")],
+    ids=["field over the csv limit", "not utf-8"],
+)
+def test_a_file_csv_cannot_read_is_named(tmp_path, kind, fault, reason):
+    # these used to escape as _csv.Error and UnicodeDecodeError, naming no file
+    read, header, rows, _, _ = SAVED_FILES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes("\n".join([header, *rows, ""]).encode() + fault + b"\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"malformed {kind} CSV {path}: {reason}")):
+        read(path)
+
+
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
@@ -817,6 +880,9 @@ class TestCli:
             ('{"kernel_epsilon_factor": "2"}', [], "kernel_epsilon_factor"),
             ('{"p": "2"}', [], "p must"),
             ("{}", ["--epsilon-factor", "inf"], "kernel_epsilon_factor"),
+            # a malformed file used to be an error that named no file
+            ("{not json", [], "config.json: Expecting property name"),
+            ("[1]", [], "config.json must be a JSON object"),
         ],
     )
     def test_badly_typed_config_exits_2(self, tmp_path, capsys, config, flags, field):
@@ -839,6 +905,46 @@ class TestCli:
         assert self.run("ph", "--complex", tmp_path / "missing.csv",
                         "--out", tmp_path / "x.csv") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, kind, flag",
+        [("ph", "complex", "--complex"), ("distance", "diagram", None),
+         ("embed", "distance", "--distances")],
+    )
+    def test_a_field_over_the_csv_limit_exits_2(self, tmp_path, capsys, command, kind, flag):
+        # these commands used to exit 1 with a _csv.Error traceback
+        _, header, rows, _, _ = SAVED_FILES[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join([header, *rows, "x" * 200_000, ""]))
+        given = [flag, path] if flag else [path]
+        assert self.run(command, *given, "--out", tmp_path / "out.csv") == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed {kind} CSV {path}: ")
+
+    def test_an_id_beyond_int64_exits_2_naming_the_row(self, tmp_path, capsys):
+        # this row used to exit 1 with an OverflowError traceback
+        path = tmp_path / "cx.csv"
+        path.write_text("dim,v0,v1,v2,weight\n0,99999999999999999999,,,0.0\n")
+        assert self.run("ph", "--complex", path, "--out", tmp_path / "pd.csv") == 2
+        row = ["0", "99999999999999999999", "", "", "0.0"]
+        assert capsys.readouterr().err == f"error: malformed complex CSV row: {row}\n"
+
+    def test_graph_spectral_command_writes_the_library_matrix(self, tmp_path):
+        for seed, name in ((1, "a"), (2, "b")):
+            self.run(
+                "generate-sim", "--m", 3, "--n-samples", 4, "--n-observations", 12,
+                "--seed", seed, "--out", tmp_path / name,
+            )
+        assert self.run(
+            "pipeline", tmp_path / "a", tmp_path / "b", "--graph-spectral",
+            "--degree", 0, "--out", tmp_path / "run",
+        ) == 0
+        config = PipelineConfig(degree=0)
+        datasets = [load_dataset(tmp_path / name) for name in ("a", "b")]
+        matrix = graph_spectral_distances(datasets, config, labels=["a", "b"])
+        config.to_json(tmp_path / "config.json")
+        write_distance_csv(matrix, tmp_path / "distances.csv")
+        for name in ("config.json", "distances.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_duplicate_diagram_stems_rejected(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()

@@ -383,6 +383,8 @@ def test_distance_matrix_type_validation():
         DatasetDistanceMatrix(np.zeros((2, 2)), ("a",))
     with pytest.raises(ValueError, match="nonnegative"):
         DatasetDistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), ("a", "b"))
+    with pytest.raises(ValueError, match=r"^distance matrix must be square, got \(2, 3\)$"):
+        DatasetDistanceMatrix(np.zeros((2, 3)), ("a", "b"))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
