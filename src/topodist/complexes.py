@@ -16,7 +16,7 @@ objects are built only when an element is read.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +25,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from topodist.dataset import _integer, _integers, _read_csv, _readonly
+from topodist.dataset import (
+    _FLOAT, _INTEGER, _check_rows, _integer, _integers, _matching, _read_csv, _readonly,
+)
 from topodist.diffusion import (
     _ZERO,
     DiffusionOperator,
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 _COMPLEX_HEADER = ["dim", "v0", "v1", "v2", "weight"]
+# a row's dim, then its vertex cells, filled up to the dim and blank after
+_COMPLEX_ROW = "(?:0,{0},,|1,{0},{0},|2,{0},{0},{0}),{1}".format(_INTEGER, _FLOAT)
 
 
 @dataclass(frozen=True)
@@ -655,7 +659,7 @@ def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
     )
     texts = np.array([f"{w!r}\r\n" for w in cx.weights[first].tolist()], dtype=object)
     rows = np.column_stack((cx.simplexes._row_prefixes, texts[inverse]))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_COMPLEX_HEADER) + "\r\n")
         fh.write("".join(rows.ravel().tolist()))
 
@@ -663,44 +667,22 @@ def write_complex_csv(cx: WeightedComplex, path: str | Path) -> None:
 def read_complex_csv(path: str | Path) -> WeightedComplex:
     """Read a complex written by :func:`write_complex_csv` into its table.
 
-    The file is read by :func:`~topodist.dataset._read_csv`, and its rows
-    are then checked and parsed column by column.  The error for a
-    malformed row names the first one not as wide as the header, or
-    failing that the first whose cells are misplaced, or failing that the
-    first whose id or weight does not parse or whose id does not fit in 64
-    bits, or failing that the first with a negative id or a weight that is
-    not finite.
+    The file is read by :func:`~topodist.dataset._read_csv`, each row is
+    matched to the cell grammar, in which ``dim`` fixes the vertex cells
+    that are filled, and the rows are then converted column by column.  The
+    error for a malformed row names the first one not as wide as the
+    header, or failing that the first row, in file order, that breaks a
+    cell rule: one the grammar does not take, an id beyond int64 or a
+    weight that is not finite.
     """
-    header, rows = _read_csv(path, "complex")
-    if header != _COMPLEX_HEADER:
-        raise ValueError(f"unexpected complex CSV header: {header}")
-    n = len(rows)
-    dim, *ids, weight = zip(*rows) if n else [()] * 5
-    dims = np.fromiter(map({"0": 0, "1": 1, "2": 2}.get, dim, [-1] * n), np.intp, n)
-    used = np.arange(3) <= dims[:, None]
-    filled = np.array([np.fromiter(map(bool, c), bool, n) for c in ids]).T
-    malformed = (dims < 0) | (used & ~filled).any(axis=1)
-    bad = np.flatnonzero(malformed | (filled & ~used).any(axis=1))
-    if bad.size:
-        i = bad[0]
-        if malformed[i]:
-            raise ValueError(f"malformed complex CSV row: {rows[i]}")
-        raise ValueError(f"row declares dim={dims[i]} but has extra vertices: {rows[i]}")
-    table = np.full((n, 3), -1, dtype=np.intp)
-    try:
-        for j, column in enumerate(ids):
-            present = compress(column, used[:, j].tolist())
-            table[used[:, j], j] = np.fromiter(map(int, present), np.intp)
-        weights = np.fromiter(map(float, weight), np.float64, n)
-    except (ValueError, OverflowError):
-        # the same conversions row by row, so one of them fails
-        for row in rows:
-            try:
-                _integers([int(x) for x in row[1:4] if x], "vertex id")
-                float(row[4])
-            except ValueError:
-                raise ValueError(f"malformed complex CSV row: {row}") from None
-    bad = np.flatnonzero((used & (table < 0)).any(axis=1) | ~np.isfinite(weights))
-    if bad.size:
-        raise ValueError(f"malformed complex CSV row: {rows[bad[0]]}")
+    _, rows = _read_csv(path, "complex", _COMPLEX_HEADER)
+    n = _matching(map(",".join, rows), _COMPLEX_ROW)
+    dim, *ids, weight = zip(*rows[:n]) if n else [()] * 5
+    # ids of at most 19 digits fit in uint64, and int64 takes those below
+    # 2**63; a blank cell is read as 0, then padded with -1 by its dim
+    table = np.array([np.fromiter(map(int, map({"": "0"}.get, c, c)), np.uint64, n) for c in ids])
+    weights = np.fromiter(map(float, weight), np.float64, n)
+    _check_rows("complex", rows, n, (table >= 2**63).any(axis=0) | ~np.isfinite(weights))
+    table = table.T.astype(np.intp)
+    table[np.arange(3) > np.fromiter(map(int, dim), np.intp, n)[:, None]] = -1
     return WeightedComplex(Skeleton(table), weights)

@@ -18,7 +18,10 @@ import csv
 import json
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -78,26 +81,59 @@ def _integers(values: Any, name: str) -> np.ndarray:
         raise ValueError(f"{name} must fit in 64 bits, got {value}") from None
 
 
-def _read_csv(path: str | Path, kind: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv(
+    path: str | Path, kind: str, expected: list[str] | None = None
+) -> tuple[list[str], list[list[str]]]:
     """The header and the nonblank rows of the ``kind`` CSV file ``path``.
 
     The header is the first nonblank row (``[]`` in a file without one).
-    A ``ValueError`` names the file if :mod:`csv` cannot read it, and
-    otherwise the first row not as wide as the header."""
+    A ``ValueError`` names the file if :mod:`csv` cannot read it as UTF-8,
+    and otherwise the first row not as wide as the header, and then a
+    header other than ``expected``, if given."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = [row for row in csv.reader(fh) if row] or [[]]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed {kind} CSV {path}: {exc}") from None
     if set(map(len, rows)) - {len(header)}:
         row = next(row for row in rows if len(row) != len(header))
         raise ValueError(f"malformed {kind} CSV row: {row}")
+    if expected is not None and header != expected:
+        raise ValueError(f"unexpected {kind} CSV header: {header}")
     return header, rows
+
+
+# The cell grammar: a cell holds only text its writer writes.  An integer
+# is ASCII digits without a leading zero, at most 19 of them, so that it
+# fits in 64 unsigned bits; a float is a form repr or format(x, ".12g")
+# writes.  int() and float() take more: "1_0", " 2", "+2", "١", "Infinity".
+_INTEGER = "(?:0|[1-9][0-9]{0,18})"
+_FLOAT = r"(?:nan|-?inf|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?)"
+
+
+def _matching(texts: Iterable[str], pattern: str) -> int:
+    """How many of ``texts``, from the first, the regular expression
+    ``pattern`` matches in full.
+
+    A reader matches each row's cells joined by commas: the rows are as
+    wide as the header, and no cell pattern takes a comma, so a cell that
+    holds one fails."""
+    return len(list(takewhile(re.compile(pattern).fullmatch, texts)))
+
+
+def _check_rows(kind: str, rows: list, good: int, bad: np.ndarray, reason: str = "") -> None:
+    """Name the first row of a ``kind`` CSV file, in file order, that
+    breaks a cell rule: the first ``good`` rows match the grammar, and
+    ``bad`` marks those of them whose values are out of range, which the
+    error gives the ``reason`` for."""
+    first = np.append(np.flatnonzero(bad), good)[0]
+    if first < len(rows):
+        raise ValueError(f"malformed {kind} CSV row: {rows[first]}{reason if first < good else ''}")
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Write ``header`` and then ``rows`` as :mod:`csv`'s writer does."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -107,7 +143,7 @@ def _read_json(path: str | Path, kind: str) -> dict[str, Any]:
     """The JSON object in the ``kind`` file ``path``, or a ``ValueError``
     that names the file."""
     try:
-        value = json.loads(Path(path).read_text())
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ValueError(f"malformed {kind} {path}: {exc}") from None
     if not isinstance(value, dict):
@@ -118,9 +154,12 @@ def _read_json(path: str | Path, kind: str) -> dict[str, Any]:
 def _real(value: Any, name: str) -> float:
     """``value`` unchanged if it is a Python int or float, a NumPy float64
     included, or a ``ValueError`` that names it: a bool, a string or a
-    NumPy integer is not taken, so a stored number stays JSON-serializable."""
+    NumPy integer is not taken, so a stored number stays JSON-serializable,
+    and neither is an int beyond the float range, which no float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be finite as a float, got {value}")
     return value
 
 
@@ -136,6 +175,9 @@ class Sample:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # no other type is cast: a saved label must load as the same string
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         obs = _readonly(self.observations)
         if obs.ndim != 2:
             raise ValueError(f"observations must be a 2-d array, got shape {obs.shape}")
@@ -359,7 +401,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         "labels": dataset.labels(),
         "metadata": dict(dataset.metadata),
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    (root / "manifest.json").write_text(text, encoding="utf-8")
     for i, sample in enumerate(dataset.samples):
         data = np.ascontiguousarray(sample.observations, dtype="<f8")
         (root / f"sample_{i}.f64").write_bytes(data.tobytes())
@@ -369,8 +412,9 @@ def load_dataset(path: str | Path) -> Dataset:
     """Load a dataset directory written by :func:`save_dataset`.
 
     The manifest is checked key by key: counts must be JSON integers (no
-    float or string is truncated), ``d_obs`` and ``labels`` arrays and
-    ``metadata`` an object, else a ``ValueError`` names the key."""
+    float or string is truncated), ``d_obs`` and ``labels`` arrays,
+    ``labels`` of strings (none is cast) and ``metadata`` an object, else a
+    ``ValueError`` names the key."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -387,7 +431,10 @@ def load_dataset(path: str | Path) -> Dataset:
     n = _integer(manifest["n_samples"], "n_samples")
     n_obs = _integer(manifest["n_observations"], "n_observations")
     dims = [_integer(d, f"d_obs[{i}]") for i, d in enumerate(manifest["d_obs"])]
-    labels = [str(x) for x in manifest["labels"]]
+    labels = manifest["labels"]
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ValueError(f"manifest labels[{i}] must be a JSON string, got {label!r}")
     if len(dims) != n or len(labels) != n:
         raise ValueError(
             f"manifest declares {n} samples but lists {len(dims)} dims / {len(labels)} labels"

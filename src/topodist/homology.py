@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from topodist.complexes import WeightedComplex, filtration_order
-from topodist.dataset import _integer, _integers, _read_csv, _write_csv
+from topodist.dataset import _FLOAT, _INTEGER, _integer, _integers, _matching, _read_csv, _write_csv
 
 __all__ = [
     "PersistencePair",
@@ -45,6 +45,7 @@ __all__ = [
 
 _DEGREES = (0, 1)  # the complexes stop at triangles
 _DIAGRAM_HEADER = ["degree", "birth", "death"]
+_DIAGRAM_ROW = f"{_INTEGER},{_FLOAT},{_FLOAT}"
 
 
 def _degree(degree: int) -> int:
@@ -330,23 +331,25 @@ def read_diagrams_csv(
 
     Degrees listed in ``degrees`` are always present in the result, as empty
     diagrams when the file has no such rows.  Simplex ids are not stored on
-    disk; loaded pairs carry placeholder ids.
+    disk; loaded pairs carry placeholder ids.  The error for a malformed
+    row names the first one not as wide as the header, or failing that the
+    first row, in file order, that the cell grammar does not take, whose
+    death is infinite though its text is not ``inf`` (as ``1e400`` is), or
+    that makes no persistence pair, with the pair's reason.
     """
     by_degree: dict[int, list[PersistencePair]] = {_degree(k): [] for k in degrees}
-    header, rows = _read_csv(path, "diagram")
-    if header != _DIAGRAM_HEADER:
-        raise ValueError(f"unexpected diagram CSV header: {header}")
-    for row in rows:
+    _, rows = _read_csv(path, "diagram", _DIAGRAM_HEADER)
+    n = _matching(map(",".join, rows), _DIAGRAM_ROW)
+    for row in rows[:n]:
+        degree, birth, death = int(row[0]), float(row[1]), float(row[2])
+        # a death reads as infinite only when its text says so, not as 1e400
+        if math.isinf(death) and row[2] != "inf":
+            raise ValueError(f"malformed diagram CSV row: {row}")
         try:
-            degree, birth, death = int(row[0]), float(row[1]), float(row[2])
-        except ValueError:
-            raise ValueError(f"malformed diagram CSV row: {row}") from None
-        try:
-            pair = PersistencePair(
-                degree, birth, death, birth_simplex=-1,
-                death_simplex=None if math.isinf(death) else -1,
-            )
+            pair = PersistencePair(degree, birth, death, -1, None if row[2] == "inf" else -1)
         except ValueError as exc:
             raise ValueError(f"malformed diagram CSV row: {row}: {exc}") from None
         by_degree.setdefault(degree, []).append(pair)
+    if n < len(rows):
+        raise ValueError(f"malformed diagram CSV row: {rows[n]}")
     return {k: PersistenceDiagram(k, tuple(v)) for k, v in by_degree.items()}

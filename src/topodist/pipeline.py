@@ -115,9 +115,8 @@ class PipelineConfig:
         )
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-        )
+        text = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+        Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":

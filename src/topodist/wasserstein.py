@@ -28,7 +28,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from topodist.dataset import _read_csv, _readonly, _real, _write_csv
+from topodist.dataset import _FLOAT, _check_rows, _matching, _read_csv, _readonly, _real, _write_csv
 from topodist.homology import PersistenceDiagram, _degree
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 InfinitePolicy = Literal["drop", "cap"]
+_FLOATS = f"(?:{_FLOAT}(?:,{_FLOAT})*)?"  # a table row's value cells
 
 
 @dataclass(frozen=True)
@@ -241,17 +242,15 @@ def _read_table(
 ) -> tuple[list[str], tuple[str, ...], np.ndarray]:
     """Header, row labels and values of a :func:`_write_table` file whose
     header starts with ``corner``, read by
-    :func:`~topodist.dataset._read_csv`.  Every value is finite; an error
-    names the ``kind`` CSV row that is not."""
+    :func:`~topodist.dataset._read_csv`.  Every value is finite.  The error
+    for a malformed row names the first one not as wide as the header, or
+    failing that the first ``kind`` CSV row, in file order, whose values
+    the cell grammar does not take or that are not finite."""
     header, rows = _read_csv(path, kind)
     if header[:1] != [corner]:
         raise ValueError(f"{kind} CSV must start with a header whose corner is {corner!r}: {path}")
-    values = np.zeros((len(rows), len(header) - 1))
-    for i, row in enumerate(rows):
-        try:
-            values[i] = [float(v) for v in row[1:]]
-        except ValueError:
-            raise ValueError(f"malformed {kind} CSV row: {row}") from None
-        if not np.isfinite(values[i]).all():
-            raise ValueError(f"malformed {kind} CSV row: {row}: values must be finite")
+    cells = [row[1:] for row in rows]
+    n = _matching(map(",".join, cells), _FLOATS)
+    values = np.array(cells[:n], dtype=np.float64).reshape(n, len(header) - 1)
+    _check_rows(kind, rows, n, ~np.isfinite(values).all(axis=1), ": values must be finite")
     return header, tuple(row[0] for row in rows), values

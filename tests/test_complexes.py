@@ -516,7 +516,9 @@ def test_complex_csv_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="header"):
         read_complex_csv(p)
     p.write_text("dim,v0,v1,v2,weight\n1,0,1,9,0.5\n")
-    with pytest.raises(ValueError, match="extra vertices"):
+    # an edge row with a third vertex used to have its own message
+    message = r"^malformed complex CSV row: \['1', '0', '1', '9', '0.5'\]$"
+    with pytest.raises(ValueError, match=message):
         read_complex_csv(p)
 
 

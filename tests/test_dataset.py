@@ -72,6 +72,16 @@ def test_sample_rejects_bad_shapes():
         Sample(np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("label", [5, None, b"a", ["a"]])
+def test_sample_label_must_be_a_string(tmp_path, label):
+    # Sample(label=5) used to be taken, and a save/load round trip made it '5'
+    with pytest.raises(ValueError, match=f"^label must be a string, got {re.escape(repr(label))}$"):
+        Sample(np.zeros((3, 2)), label=label)
+    sample = Sample(np.zeros((3, 2)), label=np.str_("a"))
+    save_dataset(Dataset((sample, sample)), tmp_path)
+    assert load_dataset(tmp_path).labels() == ["a", "a"]
+
+
 def test_dataset_requires_two_samples_and_equal_length():
     s = Sample(np.zeros((3, 2)))
     with pytest.raises(ValueError, match="at least 2 samples"):
@@ -124,7 +134,9 @@ def test_torus_spec_takes_numpy_integer_counts_as_ints():
 
 
 @pytest.mark.parametrize("field", ["r_max", "sigma"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, pytest.param(10**400, id="int-beyond-the-float-range")]
+)
 def test_torus_spec_reals_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         TorusSpec(m=3, n_samples=4, n_observations=10, **{field: value})
@@ -342,6 +354,10 @@ def test_load_rejects_missing_or_bad_manifest(tmp_path: Path):
         (None, 7, "must be a JSON object"),
         ("d_obs", [6, 6], "manifest declares 3 samples but lists 2 dims / 3 labels"),
         ("labels", ["a", "b", "c", "d"], "manifest declares 3 samples but lists 3 dims / 4 labels"),
+        # labels used to be cast: these loaded as 'None', '1' and '[2]'
+        ("labels", [None, "b", "c"], "manifest labels[0] must be a JSON string, got None"),
+        ("labels", ["a", 1, "c"], "manifest labels[1] must be a JSON string, got 1"),
+        ("labels", ["a", "b", [2]], "manifest labels[2] must be a JSON string, got [2]"),
     ],
 )
 def test_load_checks_the_manifest_by_name(tmp_path: Path, key, value, message):

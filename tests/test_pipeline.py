@@ -9,9 +9,12 @@ import dataclasses
 import itertools
 import json
 import os
+import math
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from functools import cached_property
@@ -43,6 +46,7 @@ from topodist.pipeline import (
 from topodist.complexes import (
     Simplex,
     Skeleton,
+    WeightedComplex,
     assign_weights,
     complete_skeleton,
     grid_skeleton,
@@ -50,9 +54,16 @@ from topodist.complexes import (
     write_complex_csv,
 )
 from topodist.diffusion import DiffusionOperator
-from topodist.homology import persistence_diagrams, read_diagrams_csv, write_diagrams_csv
-from topodist.embedding import read_embedding_csv
+from topodist.homology import (
+    PersistenceDiagram,
+    PersistencePair,
+    persistence_diagrams,
+    read_diagrams_csv,
+    write_diagrams_csv,
+)
+from topodist.embedding import Embedding, export_embedding, read_embedding_csv
 from topodist.wasserstein import (
+    DatasetDistanceMatrix,
     DiagramDistanceSpec,
     distance_matrix,
     read_distance_csv,
@@ -149,6 +160,17 @@ _COUNTS = {"m": 3, "n_samples": 4, "n_observations": 10}
         (DiagramDistanceSpec, "p", True, {}),
         (DiagramDistanceSpec, "cap_value", "2", {}),
         (DiagramDistanceSpec, "cap_value", True, {"infinite_policy": "cap"}),
+        # an int beyond the float range used to be taken, or to raise OverflowError
+        *(
+            pytest.param(spec, field, 10**400, rest, id=f"{field}-beyond-the-float-range")
+            for spec, field, rest in [
+                (TorusSpec, "r_max", _COUNTS),
+                (TorusSpec, "sigma", _COUNTS),
+                (PipelineConfig, "kernel_epsilon_factor", {}),
+                (DiagramDistanceSpec, "p", {}),
+                (DiagramDistanceSpec, "cap_value", {"infinite_policy": "cap"}),
+            ]
+        ),
     ],
 )
 def test_spec_rejects_a_bad_setting_by_name(spec, field, value, rest):
@@ -725,6 +747,145 @@ def test_a_file_csv_cannot_read_is_named(tmp_path, kind, fault, reason):
         read(path)
 
 
+# the whole float range, and with it -0.0, subnormals and the largest floats
+_FINITE = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+@st.composite
+def full_complexes(draw) -> WeightedComplex:
+    """Every simplex on up to 4 ids of the int64 range, vertices weighing
+    0.0 or -0.0 and the others any finite float."""
+    ids = sorted(draw(st.sets(st.just(2**63 - 1) | st.integers(0, 2**63 - 1), max_size=4)))
+    rows = [[*s, *[-1] * (3 - k)] for k in (1, 2, 3) for s in itertools.combinations(ids, k)]
+    weights = [draw(st.sampled_from([0.0, -0.0]) if row[1] < 0 else _FINITE) for row in rows]
+    return WeightedComplex(Skeleton(rows), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_complexes())
+def test_a_complex_file_reads_back_bit_for_bit(cx):
+    # ids up to the int64 maximum, whose 19 digits the cell grammar takes
+    with tempfile.TemporaryDirectory() as tmp:
+        write_complex_csv(cx, Path(tmp) / "cx.csv")
+        back = read_complex_csv(Path(tmp) / "cx.csv")
+    assert back.vertices.tolist() == cx.vertices.tolist()
+    assert _bits(back.weights) == _bits(cx.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0, 1]), _FINITE, _FINITE | st.just(math.inf))))
+def test_a_diagram_file_reads_back_bit_for_bit(points):
+    pairs = [
+        PersistencePair(k, min(b, d), max(b, d), 0, None if math.isinf(d) else 1)
+        for k, b, d in points
+    ]
+    diagrams = [PersistenceDiagram(k, [p for p in pairs if p.degree == k]) for k in (0, 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_diagrams_csv(diagrams, Path(tmp) / "pd.csv")
+        back = read_diagrams_csv(Path(tmp) / "pd.csv")
+    for dg in diagrams:
+        assert list(map(_bits, back[dg.degree].points())) == list(map(_bits, dg.points()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_FINITE.map(abs)] * 3), st.tuples(*[_FINITE] * 6))
+def test_a_table_file_reads_back_as_its_12_digit_text(distances, coordinates):
+    # write_distance_csv and export_embedding keep 12 significant digits
+    a, b, c = distances
+    labels = ("x", "y", "z")
+    matrix = DatasetDistanceMatrix(np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]), labels)
+    embedding = Embedding(np.reshape(coordinates, (3, 2)), np.array([0.5, 0.25]), labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_distance_csv(matrix, Path(tmp) / "d.csv")
+        export_embedding(embedding, Path(tmp) / "e.csv")
+        tables = [
+            (read_distance_csv(Path(tmp) / "d.csv").entries, matrix.entries),
+            (read_embedding_csv(Path(tmp) / "e.csv")[1], embedding.coordinates),
+        ]
+    for back, written in tables:
+        expected = [float(format(x, ".12g")) for x in written.flat]
+        assert _bits(back.flat) == _bits(expected)
+
+
+# text that int() or float() takes but no writer writes: each used to be read
+# as a value (١ as 1, 1_0 as 10, Infinity and 1e400 deaths as essential classes)
+_LENIENT_IDS = ["1_0", "+2", " 2", "١"]
+_LENIENT_FLOATS = ["2e1_0", "０.５"]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [f"0,{v},,,0.0" for v in _LENIENT_IDS] + [f"0,1,,,{w}" for w in _LENIENT_FLOATS],
+)
+def test_a_complex_file_refuses_text_no_writer_writes(tmp_path, row):
+    path = tmp_path / "cx.csv"
+    path.write_text(f"dim,v0,v1,v2,weight\n0,0,,,0.0\n{row}\n", encoding="utf-8")
+    message = re.escape(f"malformed complex CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_complex_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["١,0.5,1.0"]
+    + [f"1,0.5,{w}" for w in [*_LENIENT_FLOATS, "Infinity", "1e400"]]
+    + [f"1,{w},2.0" for w in _LENIENT_FLOATS],
+)
+def test_a_diagram_file_refuses_text_no_writer_writes(tmp_path, row):
+    path = tmp_path / "pd.csv"
+    path.write_text(f"degree,birth,death\n0,0.0,inf\n{row}\n", encoding="utf-8")
+    message = re.escape(f"malformed diagram CSV row: {row.split(',')}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_diagrams_csv(path)
+
+
+@pytest.mark.parametrize("cell", _LENIENT_IDS + _LENIENT_FLOATS)
+def test_a_distance_file_refuses_text_no_writer_writes(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f",a,b\na,0,{cell}\nb,{cell},0\n", encoding="utf-8")
+    message = re.escape(f"malformed distance CSV row: {['a', '0', cell]}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_distance_csv(path)
+
+
+@pytest.mark.parametrize("cell", _LENIENT_IDS + _LENIENT_FLOATS)
+def test_an_embedding_file_refuses_text_no_writer_writes(tmp_path, cell):
+    path = tmp_path / "e.csv"
+    path.write_text(f"label,coord_1\na,0.5\nb,{cell}\nc,0\n", encoding="utf-8")
+    message = re.escape(f"malformed embedding CSV row: {['b', cell]}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_embedding_csv(path)
+
+
+# write a table with a non-ASCII label, then read it back
+_LOCALE_RUN = r"""
+import sys
+import topodist as td
+matrix = td.DatasetDistanceMatrix([[0.0, 0.5], [0.5, 0.0]], ("caf\u00e9", "b"))
+td.write_distance_csv(matrix, sys.argv[1])
+assert td.read_distance_csv(sys.argv[1]).labels == ("caf\u00e9", "b")
+"""
+
+
+def test_a_file_is_utf_8_whatever_the_locale(tmp_path):
+    # under the C locale write_distance_csv used to raise UnicodeEncodeError
+    src = str(Path(topodist.__file__).parents[1])
+    for name, mode in [("utf8", {"PYTHONUTF8": "1"}),
+                       ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})]:
+        env = {**os.environ, **mode}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", _LOCALE_RUN, tmp_path / name], env=env, check=True)
+    assert (tmp_path / "c").read_bytes() == (tmp_path / "utf8").read_bytes()
+    assert "café".encode() in (tmp_path / "c").read_bytes()
+
+
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
@@ -883,6 +1044,11 @@ class TestCli:
             # a malformed file used to be an error that named no file
             ("{not json", [], "config.json: Expecting property name"),
             ("[1]", [], "config.json must be a JSON object"),
+            # this p used to run every dataset, then exit 1 with an OverflowError
+            pytest.param(
+                '{"p": 1' + "0" * 400 + "}", [], "p must be finite as a float",
+                id="p-beyond-the-float-range",
+            ),
         ],
     )
     def test_badly_typed_config_exits_2(self, tmp_path, capsys, config, flags, field):

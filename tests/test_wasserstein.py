@@ -310,14 +310,15 @@ def test_cap_below_birth_rejected():
 
 
 def test_spec_validation():
-    for p in (0.5, math.inf, math.nan):
+    # an int beyond the float range used to pass, or to raise OverflowError as a cap
+    for p in (0.5, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="p must be"):
             DiagramDistanceSpec(p=p)
     with pytest.raises(ValueError, match="degree"):
         DiagramDistanceSpec(degree=2)
     with pytest.raises(ValueError, match="policy"):
         DiagramDistanceSpec(infinite_policy="ignore")
-    for cap in (None, math.inf, math.nan):
+    for cap in (None, math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="cap_value"):
             DiagramDistanceSpec(infinite_policy="cap", cap_value=cap)
 
